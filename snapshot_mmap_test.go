@@ -7,10 +7,14 @@ package trajcover
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/mmap"
@@ -203,12 +207,28 @@ func TestMappedLiveMatchesHeapAndStaysMutable(t *testing.T) {
 	assertMappedAnswers(t, "TQLIVE01 mapped after compact", heap, mapped)
 }
 
-// mappedOpenFormats wires each mapped open path to a valid file image.
-func mappedOpenFormats(t testing.TB) []struct {
+// frozenFile is one frozen format's valid file image, wired to its heap
+// restore (read) and its mapped open (open).
+type frozenFile struct {
 	name string
 	data []byte
-	open func(path string) error
-} {
+	read func(path string) (queryOracle, error)
+	open func(path string) (queryOracle, error)
+}
+
+// readFile runs a Read*Snapshot heap restore over the file at path.
+func readFile[T queryOracle](path string, read func(io.Reader) (T, error)) (queryOracle, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return read(f)
+}
+
+// frozenFiles builds one small index per frozen layout and returns its
+// file image with both restore paths.
+func frozenFiles(t testing.TB) []frozenFile {
 	t.Helper()
 	ny := NewYorkCity()
 	users := TaxiTrips(ny, 30, 41)
@@ -239,26 +259,32 @@ func mappedOpenFormats(t testing.TB) []struct {
 	if err := lv.WriteSnapshot(&b3); err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
-		name string
-		data []byte
-		open func(path string) error
-	}{
-		{"TQSNAP03", b1.Bytes(), func(p string) error { _, err := OpenMappedFrozenSnapshot(p); return err }},
-		{"TQSHRD02", b2.Bytes(), func(p string) error { _, err := OpenMappedFrozenShardedSnapshot(p); return err }},
-		{"TQLIVE01", b3.Bytes(), func(p string) error { _, err := OpenMappedLiveSnapshot(p, LivePolicy{}); return err }},
+	pol := LivePolicy{Manual: true}
+	return []frozenFile{
+		{"TQSNAP03", b1.Bytes(),
+			func(p string) (queryOracle, error) { return readFile(p, ReadFrozenSnapshot) },
+			func(p string) (queryOracle, error) { return OpenMappedFrozenSnapshot(p) }},
+		{"TQSHRD02", b2.Bytes(),
+			func(p string) (queryOracle, error) { return readFile(p, ReadFrozenShardedSnapshot) },
+			func(p string) (queryOracle, error) { return OpenMappedFrozenShardedSnapshot(p) }},
+		{"TQLIVE01", b3.Bytes(),
+			func(p string) (queryOracle, error) {
+				return readFile(p, func(r io.Reader) (*LiveShardedIndex, error) { return ReadLiveSnapshot(r, pol) })
+			},
+			func(p string) (queryOracle, error) { return OpenMappedLiveSnapshot(p, pol) }},
 	}
 }
 
 // openMappedNoPanic runs a mapped open and converts panics to errors;
 // the property is that corrupt mapped files fail loudly at open.
-func openMappedNoPanic(open func(string) error, path string) (err error) {
+func openMappedNoPanic(open func(string) (queryOracle, error), path string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("PANIC: %v", r)
 		}
 	}()
-	return open(path)
+	_, err = open(path)
+	return err
 }
 
 // TestMappedSnapshotTruncation: every proper prefix of a valid snapshot
@@ -266,7 +292,7 @@ func openMappedNoPanic(open func(string) error, path string) (err error) {
 // never an out-of-bounds fault (every cursor read is length-checked).
 func TestMappedSnapshotTruncation(t *testing.T) {
 	dir := t.TempDir()
-	for _, f := range mappedOpenFormats(t) {
+	for _, f := range frozenFiles(t) {
 		path := filepath.Join(dir, f.name)
 		step := 1
 		if len(f.data) > 2048 {
@@ -288,7 +314,7 @@ func TestMappedSnapshotTruncation(t *testing.T) {
 // over the raw mapping before any column is trusted.
 func TestMappedSnapshotBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	for _, f := range mappedOpenFormats(t) {
+	for _, f := range frozenFiles(t) {
 		path := filepath.Join(dir, f.name)
 		data := f.data
 		step := 1
@@ -312,7 +338,7 @@ func TestMappedSnapshotBitFlip(t *testing.T) {
 // TestMappedOpenWrongFormat: each mapped open rejects the other
 // formats' magics with a pointed error instead of misparsing.
 func TestMappedOpenWrongFormat(t *testing.T) {
-	formats := mappedOpenFormats(t)
+	formats := frozenFiles(t)
 	dir := t.TempDir()
 	for _, f := range formats {
 		for _, g := range formats {
@@ -323,7 +349,7 @@ func TestMappedOpenWrongFormat(t *testing.T) {
 			if err := os.WriteFile(path, g.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.open(path); err == nil {
+			if _, err := f.open(path); err == nil {
 				t.Fatalf("%s open accepted a %s file", f.name, g.name)
 			}
 		}
@@ -341,6 +367,100 @@ func TestMappedOpenMissingFile(t *testing.T) {
 // on little-endian builds the columns must alias the mapping (no copy).
 func TestMappedZeroCopyMode(t *testing.T) {
 	t.Logf("mmap zero-copy aliasing: %v", mmap.ZeroCopy())
+}
+
+// resealSnapshot returns a copy of a TQSNAP03/TQSHRD02/TQLIVE01 image
+// with every checksum the layout still locates recomputed over the bytes
+// it covers, so a mutation inside a column reaches the parser instead of
+// stopping at a CRC. Container frames are resealed up to the first one
+// whose length prefix runs past the end.
+func resealSnapshot(data []byte) []byte {
+	out := bytes.Clone(data)
+	le := binary.LittleEndian
+	size := uint64(len(out))
+	if size < 12 {
+		return out
+	}
+	switch [8]byte(out[:8]) {
+	case frozenMagic:
+		le.PutUint32(out[size-4:], crc32.ChecksumIEEE(out[:size-4]))
+	case shardedFrozenMagic, liveMagic:
+		if size < 20 {
+			return out
+		}
+		kindLen := uint64(le.Uint32(out[16:]))
+		off := 20 + kindLen
+		if off+4 > size {
+			return out
+		}
+		le.PutUint32(out[off:], crc32.ChecksumIEEE(out[:off]))
+		off += 4 + pad8(kindLen)
+		for off+8 <= size {
+			n := le.Uint64(out[off:])
+			start := off + 8
+			if n > size-start || size-start-n < 4 {
+				break
+			}
+			le.PutUint32(out[start+n:], crc32.ChecksumIEEE(out[start:start+n]))
+			off = start + n + 8
+		}
+	}
+	return out
+}
+
+// isCachedGeometryErr reports the one rejection only a heap restore
+// makes: a trajectory record whose cached length/MBR disagree with its
+// points (the mapped open adopts the cached values without reading
+// points).
+func isCachedGeometryErr(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "cached length/MBR disagree")
+}
+
+// assertHeapMatchesMapped writes data to path and restores it both ways:
+// the heap restore and the mapped open must both fail, or both succeed
+// and answer bit-identically.
+func assertHeapMatchesMapped(t *testing.T, ff frozenFile, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	heap, herr := ff.read(path)
+	mapped, merr := ff.open(path)
+	switch {
+	case herr != nil && merr != nil:
+	case herr == nil && merr == nil:
+		assertMappedAnswers(t, ff.name, heap, mapped)
+	case merr == nil && isCachedGeometryErr(herr):
+	default:
+		t.Fatalf("%s (%d bytes): heap restore err = %v, mapped open err = %v", ff.name, len(data), herr, merr)
+	}
+}
+
+// FuzzSnapshotHeapVsMapped: for each frozen format, the heap restore
+// (Read*Snapshot) and the mapped open (OpenMapped*) of the same file
+// agree — both reject it, or both accept it and answer TopK and
+// ServiceValues bit-identically. Each input is checked as given and,
+// when that differs, resealed, so mutations past the CRCs reach the
+// column parser. Seeds: each valid image, its truncations, and the image
+// plus one trailing byte.
+func FuzzSnapshotHeapVsMapped(f *testing.F) {
+	files := frozenFiles(f)
+	for i, ff := range files {
+		n := len(ff.data)
+		f.Add(uint8(i), ff.data)
+		for _, cut := range []int{0, 8, 12, 24, 40, n / 2, n - 5, n - 4, n - 1} {
+			f.Add(uint8(i), ff.data[:cut])
+		}
+		f.Add(uint8(i), append(bytes.Clone(ff.data), 0))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		ff := files[int(which)%len(files)]
+		dir := t.TempDir()
+		assertHeapMatchesMapped(t, ff, filepath.Join(dir, "raw"), data)
+		if sealed := resealSnapshot(data); !bytes.Equal(sealed, data) {
+			assertHeapMatchesMapped(t, ff, filepath.Join(dir, "sealed"), sealed)
+		}
+	})
 }
 
 // benchSnapshotPath builds a moderately sized frozen snapshot once per
