@@ -173,17 +173,10 @@ func ReadSnapshot(r io.Reader) (*Index, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if magic == shardedMagic || magic == shardedFrozenMagic {
-		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	}
-	if magic == frozenMagic {
-		return nil, fmt.Errorf("%w: frozen snapshot; use ReadFrozenSnapshot", ErrBadSnapshot)
-	}
-	if magic == liveMagic {
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	}
-	if magic != snapshotMagic && magic != snapshotMagicV1 {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+	if magic != snapshotMagicV1 {
+		if err := checkMagic(magic[:], snapshotMagic); err != nil {
+			return nil, err
+		}
 	}
 	// The v1 header lacks the MaxDepth field; a zero MaxDepth rebuilds
 	// with the default depth, which is all a v1 stream can promise.
@@ -327,17 +320,8 @@ func ReadShardedSnapshot(r io.Reader) (*ShardedIndex, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if magic == snapshotMagic || magic == snapshotMagicV1 || magic == frozenMagic {
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
-	}
-	if magic == shardedFrozenMagic {
-		return nil, fmt.Errorf("%w: frozen sharded snapshot; use ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	}
-	if magic == liveMagic {
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	}
-	if magic != shardedMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+	if err := checkMagic(magic[:], shardedMagic); err != nil {
+		return nil, err
 	}
 	var header [9]uint64
 	for i := range header {

@@ -1,8 +1,9 @@
 package trajcover
 
-// Frozen snapshot persistence. Unlike TQSNAP02/TQSHRD01 — which store
-// raw trajectories and rebuild the TQ-tree on restore — the frozen
-// formats serialize the columnar index slices nearly verbatim:
+// Frozen snapshot persistence: the writers, and the heap-restore entry
+// points. Unlike TQSNAP02/TQSHRD01 — which store raw trajectories and
+// rebuild the TQ-tree on restore — the frozen formats serialize the
+// columnar index slices nearly verbatim:
 //
 //	TQSNAP03 — single frozen index: magic, frozen payload, CRC trailer.
 //	TQSHRD02 — sharded frozen container: CRC'd shared header (shard
@@ -11,35 +12,40 @@ package trajcover
 //
 // A frozen payload is the column slices of tqtree.FrozenColumns in fixed
 // order plus the trajectory table (in entry-slab first-appearance order,
-// so entTraj indexes resolve by position). Restoring is a bulk read, the
-// CRC check, and the structural bounds validation in
-// tqtree.FrozenFromColumns — no tree rebuild, no sorting — which is what
-// makes frozen restore several times faster than the rebuild formats.
+// so entTraj indexes resolve by position).
+//
+// There is one decoder per format, and it runs over a []byte image of
+// the whole file (snapshot_mmap.go). It has two sources: a heap restore
+// (ReadFrozenSnapshot, ReadFrozenShardedSnapshot, ReadLiveSnapshot)
+// reads the stream into one buffer and parses it with every column
+// copied out; a mapped open (OpenMapped*) parses the file mapping with
+// the columns aliased onto it. Either way a restore is the CRC check,
+// bounds-checked takes, and the structural validation in
+// tqtree.FrozenFromColumns — no tree rebuild, no sorting — which is
+// what makes frozen restore several times faster than the rebuild
+// formats.
 //
 // Every multi-byte column starts at an offset that is a multiple of 8
 // from the payload start (zero pad bytes follow the int32 column groups
 // and the container headers/frames where needed), and each trajectory
-// record carries its precomputed length and MBR. Both exist for the
-// mapped-restore path (snapshot_mmap.go): 8-alignment lets the reader
-// alias float64/uint64/Rect/Point columns directly onto a page-aligned
-// file mapping, and the cached length/MBR make a mapped open O(columns)
-// instead of O(points). Pad bytes are covered by the CRCs like any other
-// payload byte. This is an internal revision of the TQSNAP03/TQSHRD02
-// (and TQLIVE01) encodings; streams written by earlier builds are not
-// readable, which these formats never promised.
+// record carries its precomputed length and MBR. 8-alignment lets the
+// decoder view float64/uint64/Rect/Point columns in place (aliased by a
+// mapped open, copied once by a heap restore), and the cached
+// length/MBR make a mapped open O(columns) instead of O(points); a heap
+// restore recomputes them from the points and requires a match. Pad
+// bytes are covered by the CRCs like any other payload byte. This is an
+// internal revision of the TQSNAP03/TQSHRD02 (and TQLIVE01) encodings;
+// streams written by earlier builds are not readable, which these
+// formats never promised.
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
-	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
-	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -135,149 +141,6 @@ func pad8(size uint64) uint64 { return (8 - size%8) % 8 }
 // i32Pad returns the pad after an n-value int32 column group.
 func i32Pad(n uint64) int { return int(pad8(4 * n)) }
 
-// readZeroPad consumes n container pad bytes and requires them to be
-// zero. Container pads sit outside the header/frame CRCs (they realign
-// the stream after a CRC), so this explicit check is what keeps a
-// flipped pad bit a loud error instead of silently accepted input.
-func readZeroPad(r io.Reader, n uint64) error {
-	if n == 0 {
-		return nil
-	}
-	var buf [8]byte
-	b := buf[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return fmt.Errorf("%w: truncated padding", ErrBadSnapshot)
-	}
-	for _, c := range b {
-		if c != 0 {
-			return fmt.Errorf("%w: nonzero padding", ErrBadSnapshot)
-		}
-	}
-	return nil
-}
-
-// colReader is the bulk little-endian reader. Columns are grown by
-// append in bounded chunks, so memory consumption tracks the bytes
-// actually present in the stream — a corrupt count fails with a
-// truncation error instead of one absurd allocation.
-type colReader struct {
-	r   io.Reader
-	buf []byte
-}
-
-func newColReader(r io.Reader) *colReader {
-	return &colReader{r: r, buf: make([]byte, 1<<16)}
-}
-
-// chunk reads exactly n*width bytes in buffer-sized pieces, invoking fn
-// on each piece.
-func (cr *colReader) chunk(n, width int, fn func(b []byte)) error {
-	per := len(cr.buf) / width
-	for n > 0 {
-		c := n
-		if c > per {
-			c = per
-		}
-		b := cr.buf[:c*width]
-		if _, err := io.ReadFull(cr.r, b); err != nil {
-			return fmt.Errorf("%w: truncated column (%v)", ErrBadSnapshot, err)
-		}
-		fn(b)
-		n -= c
-	}
-	return nil
-}
-
-func (cr *colReader) u64(dst *uint64) error {
-	b := cr.buf[:8]
-	if _, err := io.ReadFull(cr.r, b); err != nil {
-		return fmt.Errorf("%w: truncated header (%v)", ErrBadSnapshot, err)
-	}
-	*dst = binary.LittleEndian.Uint64(b)
-	return nil
-}
-
-func (cr *colReader) u64s(n int) ([]uint64, error) {
-	out := make([]uint64, 0, minInt(n, 1<<16))
-	err := cr.chunk(n, 8, func(b []byte) {
-		for i := 0; i < len(b); i += 8 {
-			out = append(out, binary.LittleEndian.Uint64(b[i:]))
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) f64s(n int) ([]float64, error) {
-	out := make([]float64, 0, minInt(n, 1<<16))
-	err := cr.chunk(n, 8, func(b []byte) {
-		for i := 0; i < len(b); i += 8 {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) i32s(n int) ([]int32, error) {
-	out := make([]int32, 0, minInt(n, 1<<16))
-	err := cr.chunk(n, 4, func(b []byte) {
-		for i := 0; i < len(b); i += 4 {
-			out = append(out, int32(binary.LittleEndian.Uint32(b[i:])))
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) rects(n int) ([]geo.Rect, error) {
-	out := make([]geo.Rect, 0, minInt(n, 1<<14))
-	err := cr.chunk(n, 32, func(b []byte) {
-		for i := 0; i < len(b); i += 32 {
-			out = append(out, geo.Rect{
-				MinX: math.Float64frombits(binary.LittleEndian.Uint64(b[i:])),
-				MinY: math.Float64frombits(binary.LittleEndian.Uint64(b[i+8:])),
-				MaxX: math.Float64frombits(binary.LittleEndian.Uint64(b[i+16:])),
-				MaxY: math.Float64frombits(binary.LittleEndian.Uint64(b[i+24:])),
-			})
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) pointsInto(dst []geo.Point, n int) ([]geo.Point, error) {
-	err := cr.chunk(n, 16, func(b []byte) {
-		for i := 0; i < len(b); i += 16 {
-			dst = append(dst, geo.Point{
-				X: math.Float64frombits(binary.LittleEndian.Uint64(b[i:])),
-				Y: math.Float64frombits(binary.LittleEndian.Uint64(b[i+8:])),
-			})
-		}
-	})
-	return dst, err
-}
-
-func (cr *colReader) points(n int) ([]geo.Point, error) {
-	return cr.pointsInto(make([]geo.Point, 0, minInt(n, 1<<15)), n)
-}
-
-// skip consumes n pad bytes (their value is ignored; the CRC covers
-// them).
-func (cr *colReader) skip(n int) error {
-	if n == 0 {
-		return nil
-	}
-	b := cr.buf[:n]
-	if _, err := io.ReadFull(cr.r, b); err != nil {
-		return fmt.Errorf("%w: truncated padding (%v)", ErrBadSnapshot, err)
-	}
-	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // frozenPayloadSize returns the exact encoded byte size of
 // writeFrozenPayload's output — used to length-prefix TQSHRD02 frames
 // without buffering them.
@@ -315,43 +178,6 @@ func frozenPayloadSize(f *tqtree.Frozen) uint64 {
 // record; only the frozen/live payloads cache length and MBR.)
 func frozenTrajectorySize(t *trajectory.Trajectory) uint64 {
 	return 4 + 4 + 8 + 32 + 16*uint64(t.Len())
-}
-
-// readFrozenTrajectoryRecord decodes one frozen trajectory record. The
-// recorded length/MBR are what the mapped reader serves without touching
-// the points; this heap reader recomputes them from the points (same
-// arithmetic, so bit-equal) and cross-checks, which catches a writer bug
-// or a CRC-fixed-up forgery before it can diverge the two restore paths.
-func readFrozenTrajectoryRecord(cr *colReader, i uint64) (*trajectory.Trajectory, error) {
-	b := cr.buf[:8]
-	if _, err := io.ReadFull(cr.r, b); err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
-	id := binary.LittleEndian.Uint32(b)
-	npts := binary.LittleEndian.Uint32(b[4:])
-	if npts < 2 || npts > 1<<24 {
-		return nil, fmt.Errorf("%w: trajectory %d has %d points", ErrBadSnapshot, i, npts)
-	}
-	var lenBits uint64
-	if err := cr.u64(&lenBits); err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
-	mbrCol, err := cr.rects(1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
-	pts, err := cr.pointsInto(make([]geo.Point, 0, npts), int(npts))
-	if err != nil {
-		return nil, err
-	}
-	t, err := trajectory.New(trajectory.ID(id), pts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if math.Float64bits(t.Length()) != lenBits || t.MBR() != mbrCol[0] {
-		return nil, fmt.Errorf("%w: trajectory %d cached length/MBR disagree with points", ErrBadSnapshot, i)
-	}
-	return t, nil
 }
 
 // writeFrozenPayload encodes the frozen index: a fixed header, the column
@@ -408,124 +234,6 @@ func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
 	return cw.err
 }
 
-// readFrozenPayload decodes a frozen payload and reassembles the index
-// (structural validation included) together with its trajectory set.
-func readFrozenPayload(r io.Reader) (*tqtree.Frozen, *trajectory.Set, error) {
-	cr := newColReader(r)
-	var header [12]uint64
-	for i := range header {
-		if err := cr.u64(&header[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	c := tqtree.FrozenColumns{
-		Variant:  tqtree.Variant(header[0]),
-		Ordering: tqtree.Ordering(header[1]),
-		Beta:     int(header[2]),
-		MaxDepth: int(header[3]),
-		Bounds: geo.Rect{
-			MinX: math.Float64frombits(header[4]),
-			MinY: math.Float64frombits(header[5]),
-			MaxX: math.Float64frombits(header[6]),
-			MaxY: math.Float64frombits(header[7]),
-		},
-	}
-	nn, nb, ne, nt := header[8], header[9], header[10], header[11]
-	if c.Ordering != tqtree.ZOrder && c.Ordering != tqtree.Basic {
-		return nil, nil, fmt.Errorf("%w: invalid ordering %d", ErrBadSnapshot, header[1])
-	}
-	// Structural plausibility before any large read: every bucket holds
-	// at least one entry and every indexed trajectory contributes at
-	// least one entry, so corrupt counts fail here.
-	const maxCount = 1 << 31
-	if nn == 0 || nn > maxCount || ne > maxCount || nb > ne || nt > ne || (ne > 0 && nt == 0) {
-		return nil, nil, fmt.Errorf("%w: implausible frozen counts (nodes %d, buckets %d, entries %d, trajectories %d)",
-			ErrBadSnapshot, nn, nb, ne, nt)
-	}
-	if c.Ordering == tqtree.Basic && nb != 0 {
-		return nil, nil, fmt.Errorf("%w: basic ordering with %d buckets", ErrBadSnapshot, nb)
-	}
-
-	var err error
-	if c.NodeRect, err = cr.rects(int(nn)); err == nil {
-		if c.ChildBase, err = cr.i32s(int(nn)); err == nil {
-			c.ChildCount, err = cr.i32s(int(nn))
-		}
-	}
-	if err == nil {
-		c.EntryOff, err = cr.i32s(int(nn) + 1)
-	}
-	if err == nil {
-		err = cr.skip(i32Pad(3*nn + 1))
-	}
-	if err == nil {
-		c.OwnUB, err = cr.f64s(int(nn) * service.NumScenarios)
-	}
-	if err == nil {
-		c.TreeUB, err = cr.f64s(int(nn) * service.NumScenarios)
-	}
-	if err == nil && c.Ordering == tqtree.ZOrder {
-		c.BucketOff, err = cr.i32s(int(nn) + 1)
-		if err == nil {
-			c.BktEntryOff, err = cr.i32s(int(nb) + 1)
-		}
-		if err == nil {
-			err = cr.skip(i32Pad(nn + nb + 2))
-		}
-		if err == nil {
-			c.BktMinStart, err = cr.u64s(int(nb))
-		}
-		if err == nil {
-			c.BktMaxStart, err = cr.u64s(int(nb))
-		}
-		if err == nil {
-			c.BktStartMBR, err = cr.rects(int(nb))
-		}
-		if err == nil {
-			c.BktEndMBR, err = cr.rects(int(nb))
-		}
-		if err == nil {
-			c.BktFullMBR, err = cr.rects(int(nb))
-		}
-	}
-	if err == nil {
-		c.EntFirst, err = cr.points(int(ne))
-	}
-	if err == nil {
-		c.EntLast, err = cr.points(int(ne))
-	}
-	if err == nil {
-		c.EntMBR, err = cr.rects(int(ne))
-	}
-	if err == nil {
-		c.EntTraj, err = cr.i32s(int(ne))
-	}
-	if err == nil {
-		c.EntSeg, err = cr.i32s(int(ne))
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	trajs := make([]*trajectory.Trajectory, 0, minInt(int(nt), 1<<16))
-	for i := uint64(0); i < nt; i++ {
-		t, err := readFrozenTrajectoryRecord(cr, i)
-		if err != nil {
-			return nil, nil, err
-		}
-		trajs = append(trajs, t)
-	}
-	set, err := trajectory.NewSet(trajs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	f, err := tqtree.FrozenFromColumns(c, trajs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return f, set, nil
-}
-
 // WriteSnapshot serializes the frozen index as a TQSNAP03 stream: the
 // columnar payload framed by a magic header and a CRC32 trailer.
 func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
@@ -541,41 +249,17 @@ func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadFrozenSnapshot restores a FrozenIndex written by
-// (*FrozenIndex).WriteSnapshot. The columns are bulk-read, checksummed,
-// and bounds-checked — no tree rebuild. Rebuild-format and sharded
-// streams are detected and rejected with a pointer to the right reader.
+// (*FrozenIndex).WriteSnapshot. The stream is read to EOF and parsed by
+// the same decoder as OpenMappedFrozenSnapshot, with every column copied
+// to the heap — checksummed and bounds-checked, no tree rebuild. Bytes
+// after the CRC trailer are an error, as are the other formats, which
+// are rejected with a pointer to the right reader.
 func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	switch magic {
-	case frozenMagic:
-	case snapshotMagic, snapshotMagicV1:
-		return nil, fmt.Errorf("%w: rebuild-format snapshot; use ReadSnapshot", ErrBadSnapshot)
-	case shardedMagic, shardedFrozenMagic:
-		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	case liveMagic:
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	f, set, err := readFrozenPayload(br)
+	data, err := readSnapshotBytes(r)
 	if err != nil {
 		return nil, err
 	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(base, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrBadSnapshot)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
-	}
-	return &FrozenIndex{engine: query.NewFrozenEngine(f, set), set: set}, nil
+	return parseFrozenSnapshot(data, nil)
 }
 
 // WriteSnapshot serializes the frozen sharded index as a TQSHRD02
@@ -630,95 +314,12 @@ func (x *FrozenShardedIndex) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadFrozenShardedSnapshot restores a FrozenShardedIndex written by
-// (*FrozenShardedIndex).WriteSnapshot, bulk-reading each shard's columns
-// from its own frame.
+// (*FrozenShardedIndex).WriteSnapshot: ReadFrozenSnapshot's read-then-
+// parse, one frame per shard. Bytes after the last frame are an error.
 func ReadFrozenShardedSnapshot(r io.Reader) (*FrozenShardedIndex, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	switch magic {
-	case shardedFrozenMagic:
-	case shardedMagic:
-		return nil, fmt.Errorf("%w: rebuild-format sharded snapshot; use ReadShardedSnapshot", ErrBadSnapshot)
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
-	case liveMagic:
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var nShards uint64
-	if err := binary.Read(br, binary.LittleEndian, &nShards); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	var kindLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &kindLen); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if kindLen > 256 {
-		return nil, fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
-	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(br, kindBuf); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	wantHdr := crc.Sum32()
-	var gotHdr uint32
-	if err := binary.Read(base, binary.LittleEndian, &gotHdr); err != nil {
-		return nil, fmt.Errorf("%w: missing header checksum", ErrBadSnapshot)
-	}
-	if gotHdr != wantHdr {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
-	}
-	if err := readZeroPad(base, pad8(uint64(kindLen))); err != nil {
+	data, err := readSnapshotBytes(r)
+	if err != nil {
 		return nil, err
 	}
-
-	const maxShards = 1 << 16
-	if nShards == 0 || nShards > maxShards {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
-	}
-	engines := make([]*query.FrozenEngine, 0, nShards)
-	bounds := geo.Rect{}
-	for s := uint64(0); s < nShards; s++ {
-		var payloadLen uint64
-		if err := binary.Read(base, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
-		}
-		fcrc := crc32.NewIEEE()
-		fr := &hashReader{r: io.LimitReader(base, int64(payloadLen)), crc: fcrc}
-		f, set, err := readFrozenPayload(fr)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		// The frame must be fully consumed: leftover bytes mean the
-		// length prefix and the payload disagree.
-		if n, _ := io.Copy(io.Discard, fr); n != 0 {
-			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, n)
-		}
-		wantFrame := fcrc.Sum32()
-		var gotFrame uint32
-		if err := binary.Read(base, binary.LittleEndian, &gotFrame); err != nil {
-			return nil, fmt.Errorf("%w: frame %d missing checksum", ErrBadSnapshot, s)
-		}
-		if gotFrame != wantFrame {
-			return nil, fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
-		}
-		if err := readZeroPad(base, 4); err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		if s == 0 {
-			bounds = f.Bounds()
-		}
-		engines = append(engines, query.NewFrozenEngine(f, set))
-	}
-	sf, err := shard.FrozenFromEngines(engines, bounds, string(kindBuf))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return &FrozenShardedIndex{s: sf}, nil
+	return parseFrozenShardedSnapshot(data, nil)
 }

@@ -13,16 +13,14 @@ package trajcover
 //	           tombstone IDs (sorted, so output is deterministic), and
 //	           the delta trajectories.
 //
-// Restoring reassembles the epochs verbatim — frozen columns bulk-read
-// and bounds-checked, tombstones and delta revalidated against the base
-// — so a restored index resumes exactly the logical corpus the capture
-// saw, still mutable, with its pending churn intact for the next
-// rebuild to fold.
+// Restoring (the shared decoder in snapshot_mmap.go) reassembles the
+// epochs verbatim — frozen columns bounds-checked, tombstones and delta
+// revalidated against the base — so a restored index resumes exactly
+// the logical corpus the capture saw, still mutable, with its pending
+// churn intact for the next rebuild to fold.
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -30,8 +28,6 @@ import (
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/query"
-	"github.com/trajcover/trajcover/internal/shard"
-	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 var liveMagic = [8]byte{'T', 'Q', 'L', 'I', 'V', 'E', '0', '1'}
@@ -81,57 +77,6 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 	return cw.err
 }
 
-// readLivePayload decodes one epoch frame and reassembles the epoch,
-// revalidating tombstones and delta against the restored base.
-func readLivePayload(r io.Reader) (*query.Epoch, error) {
-	f, set, err := readFrozenPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	cr := newColReader(r)
-	var nDead uint64
-	if err := cr.u64(&nDead); err != nil {
-		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadSnapshot)
-	}
-	if nDead > uint64(set.Len()) {
-		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, set.Len())
-	}
-	deadIDs, err := cr.i32s(int(nDead))
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadSnapshot)
-	}
-	dead := make(map[trajectory.ID]struct{}, nDead)
-	for _, id := range deadIDs {
-		dead[trajectory.ID(uint32(id))] = struct{}{}
-	}
-	if uint64(len(dead)) != nDead {
-		return nil, fmt.Errorf("%w: duplicate tombstone ids", ErrBadSnapshot)
-	}
-	if err := cr.skip(i32Pad(nDead)); err != nil {
-		return nil, err
-	}
-	var nDelta uint64
-	if err := cr.u64(&nDelta); err != nil {
-		return nil, fmt.Errorf("%w: truncated delta", ErrBadSnapshot)
-	}
-	if nDelta > maxTrajectories {
-		return nil, fmt.Errorf("%w: implausible delta count %d", ErrBadSnapshot, nDelta)
-	}
-	delta := make([]*trajectory.Trajectory, 0, minInt(int(nDelta), 1<<16))
-	for i := uint64(0); i < nDelta; i++ {
-		u, err := readFrozenTrajectoryRecord(cr, i)
-		if err != nil {
-			return nil, err
-		}
-		delta = append(delta, u)
-	}
-	ep, err := query.NewEpoch(query.NewFrozenEngine(f, set), delta, dead, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return ep, nil
-}
-
 // writeLiveSnapshot serializes a captured epoch set as a TQLIVE01
 // container.
 func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
@@ -153,7 +98,7 @@ func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
 		return err
 	}
 	// Realign so every frame's payload starts 8-aligned in the file —
-	// the mapped reader aliases columns at file offsets. See
+	// a mapped open aliases columns at file offsets. See
 	// snapshot_frozen.go.
 	if _, err := w.Write(make([]byte, pad8(uint64(len(kind))))); err != nil {
 		return err
@@ -195,88 +140,13 @@ func (x *LiveIndex) WriteSnapshot(w io.Writer) error {
 // folds as usual. pol tunes the restored index's compaction policy
 // (policy is operational state, not data, so it is not recorded).
 // A single-shard stream (a LiveIndex checkpoint) restores as a
-// one-shard LiveShardedIndex, which serves identically.
+// one-shard LiveShardedIndex, which serves identically. The stream is
+// read to EOF and parsed like ReadFrozenSnapshot's; bytes after the
+// last frame are an error.
 func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*LiveShardedIndex, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	switch magic {
-	case liveMagic:
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
-	case shardedMagic, shardedFrozenMagic:
-		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var nShards uint64
-	if err := binary.Read(br, binary.LittleEndian, &nShards); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	var kindLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &kindLen); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if kindLen > 256 {
-		return nil, fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
-	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(br, kindBuf); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	wantHdr := crc.Sum32()
-	var gotHdr uint32
-	if err := binary.Read(base, binary.LittleEndian, &gotHdr); err != nil {
-		return nil, fmt.Errorf("%w: missing header checksum", ErrBadSnapshot)
-	}
-	if gotHdr != wantHdr {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
-	}
-	if err := readZeroPad(base, pad8(uint64(kindLen))); err != nil {
+	data, err := readSnapshotBytes(r)
+	if err != nil {
 		return nil, err
 	}
-
-	const maxShards = 1 << 16
-	if nShards == 0 || nShards > maxShards {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
-	}
-	eps := make([]*query.Epoch, 0, nShards)
-	for s := uint64(0); s < nShards; s++ {
-		var payloadLen uint64
-		if err := binary.Read(base, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
-		}
-		fcrc := crc32.NewIEEE()
-		fr := &hashReader{r: io.LimitReader(base, int64(payloadLen)), crc: fcrc}
-		ep, err := readLivePayload(fr)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		if n, _ := io.Copy(io.Discard, fr); n != 0 {
-			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, n)
-		}
-		wantFrame := fcrc.Sum32()
-		var gotFrame uint32
-		if err := binary.Read(base, binary.LittleEndian, &gotFrame); err != nil {
-			return nil, fmt.Errorf("%w: frame %d missing checksum", ErrBadSnapshot, s)
-		}
-		if gotFrame != wantFrame {
-			return nil, fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
-		}
-		if err := readZeroPad(base, 4); err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		eps = append(eps, ep)
-	}
-
-	part, _ := shard.PartitionerOf(string(kindBuf))
-	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return &LiveShardedIndex{s: l}, nil
+	return parseLiveSnapshot(data, nil, pol)
 }

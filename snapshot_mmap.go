@@ -1,14 +1,28 @@
 package trajcover
 
-// Mapped snapshot restore. OpenMappedFrozenSnapshot and friends map a
-// TQSNAP03/TQSHRD02/TQLIVE01 file and alias the frozen column slices
-// (node rects, upper-bound columns, bucket and entry slabs, trajectory
-// points) directly onto the mapping via internal/mmap — a restore that
-// costs one CRC pass plus the structural validation, no per-point work
-// and no column copies (on little-endian hosts; elsewhere the views
-// decode into heap and everything below still holds). The OS pages the
-// columns in and out on demand, so one process can serve snapshots
-// larger than RAM and restarts touch only the pages a query walks.
+// The frozen snapshot decoder. TQSNAP03, TQSHRD02 and TQLIVE01 each have
+// exactly one parser, and it runs over a []byte image of the whole file.
+// Two sources feed it:
+//
+//   - A heap restore (Read*Snapshot) reads the stream into one buffer,
+//     sized exactly when the reader can report its length, and parses it
+//     in owning mode: every column and each trajectory's points are
+//     copied out, so the buffer is garbage once the parse returns, and
+//     each trajectory's cached length and MBR are recomputed from its
+//     points and must match.
+//   - A mapped open (OpenMapped*Snapshot) maps the file via internal/mmap
+//     and parses it in aliasing mode: the column slices (node rects,
+//     upper-bound columns, bucket and entry slabs, trajectory points)
+//     alias the mapping — zero-copy on little-endian hosts; elsewhere the
+//     views decode into heap and everything below still holds — and each
+//     trajectory adopts its cached length and MBR, so the open costs one
+//     CRC pass plus the structural validation and never parses point
+//     data. The OS pages the columns in and out on demand, so one process
+//     can serve snapshots larger than RAM and restarts touch only the
+//     pages a query walks.
+//
+// The mode is whether the parse has a pin (the mapping's token): nil
+// means owning.
 //
 // Lifetime. Aliased slices are views into the mapping, so the mapping
 // must outlive every object that can reach one. Each mapped file gets
@@ -26,19 +40,23 @@ package trajcover
 // becomes unreachable and the file is unmapped.
 //
 // Integrity. The CRCs (trailer for TQSNAP03, header+frame for the
-// containers) are verified once at open over the raw bytes, before any
-// column is trusted; every cursor read is bounds-checked against the
-// file length, and the decoded counts go through the same plausibility
-// and structural validation as the streaming readers — a truncated or
-// bit-flipped file is a loud ErrBadSnapshot at open, never a fault
+// containers) are verified over the raw bytes before any column is
+// trusted; every cursor read is bounds-checked against the image, every
+// count goes through the plausibility checks and the structural
+// validation in tqtree.FrozenFromColumns, and bytes left over after the
+// last frame or trailer are an error — a truncated, padded or
+// bit-flipped file is a loud ErrBadSnapshot at restore, never a fault
 // inside a query.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"os"
 	"runtime"
+	"slices"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/mmap"
@@ -48,6 +66,10 @@ import (
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
+
+// errCachedGeometry is the rejection only a heap restore makes: a
+// trajectory record whose cached length/MBR disagree with its points.
+var errCachedGeometry = fmt.Errorf("%w: trajectory cached length/MBR disagree with points", ErrBadSnapshot)
 
 // mappedToken owns one reference to a file mapping on behalf of every
 // index object restored from it. The finalizer releases the mapping
@@ -69,17 +91,91 @@ func (t *mappedToken) drop() {
 	t.m.Release()
 }
 
-// mapCursor is the bounds-checked reader over a mapped payload. Every
-// take is validated against the remaining length, so corrupt counts
-// produce ErrBadSnapshot instead of an out-of-range slice.
-type mapCursor struct {
-	b   []byte
-	off int
+// openMapped maps the file at path and parses it in aliasing mode. The
+// mapping is released at once if the parse fails.
+func openMapped[T any](path string, parse func(data []byte, pin any) (T, error)) (T, error) {
+	m, err := mmap.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	tok := newMappedToken(m)
+	x, err := parse(m.Data(), tok)
+	if err != nil {
+		tok.drop()
+	}
+	return x, err
 }
 
-func (c *mapCursor) remaining() int { return len(c.b) - c.off }
+// readSnapshotBytes reads r to EOF into one buffer for an owning parse.
+// The buffer is sized exactly when r reports its remaining length (a
+// regular *os.File, a bytes.Reader); otherwise it doubles as it fills.
+func readSnapshotBytes(r io.Reader) ([]byte, error) {
+	size := 1 << 16
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case *os.File:
+		if st, err := v.Stat(); err == nil && st.Mode().IsRegular() {
+			if off, err := v.Seek(0, io.SeekCurrent); err == nil && off <= st.Size() {
+				size = int(st.Size() - off)
+			}
+		}
+	}
+	buf := make([]byte, 0, size+1) // +1: reach EOF without growing
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf))
+		}
+	}
+}
 
-func (c *mapCursor) take(n uint64) ([]byte, error) {
+// checkMagic requires data to start with want, and names the right
+// reader when it starts with another known format.
+func checkMagic(data []byte, want [8]byte) error {
+	if len(data) < 8 {
+		return fmt.Errorf("%w: truncated snapshot", ErrBadSnapshot)
+	}
+	got := [8]byte(data)
+	if got == want {
+		return nil
+	}
+	switch got {
+	case snapshotMagic, snapshotMagicV1:
+		return fmt.Errorf("%w: rebuild-format snapshot; use ReadSnapshot", ErrBadSnapshot)
+	case shardedMagic:
+		return fmt.Errorf("%w: rebuild-format sharded snapshot; use ReadShardedSnapshot", ErrBadSnapshot)
+	case frozenMagic:
+		return fmt.Errorf("%w: frozen snapshot; use ReadFrozenSnapshot or OpenMappedFrozenSnapshot", ErrBadSnapshot)
+	case shardedFrozenMagic:
+		return fmt.Errorf("%w: frozen sharded snapshot; use ReadFrozenShardedSnapshot or OpenMappedFrozenShardedSnapshot", ErrBadSnapshot)
+	case liveMagic:
+		return fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot or OpenMappedLiveSnapshot", ErrBadSnapshot)
+	}
+	return fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+}
+
+// snapCursor is the bounds-checked reader over a snapshot image. Every
+// take is validated against the remaining length, so corrupt counts
+// produce ErrBadSnapshot instead of an out-of-range slice. pin is the
+// mapping's token in aliasing mode and nil in owning mode.
+type snapCursor struct {
+	b   []byte
+	off int
+	pin any
+}
+
+func (c *snapCursor) remaining() int { return len(c.b) - c.off }
+
+func (c *snapCursor) take(n uint64) ([]byte, error) {
 	if n > uint64(c.remaining()) {
 		return nil, fmt.Errorf("%w: truncated payload (need %d bytes, have %d)", ErrBadSnapshot, n, c.remaining())
 	}
@@ -88,7 +184,7 @@ func (c *mapCursor) take(n uint64) ([]byte, error) {
 	return b, nil
 }
 
-func (c *mapCursor) u64() (uint64, error) {
+func (c *snapCursor) u64() (uint64, error) {
 	b, err := c.take(8)
 	if err != nil {
 		return 0, err
@@ -96,7 +192,7 @@ func (c *mapCursor) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (c *mapCursor) u32() (uint32, error) {
+func (c *snapCursor) u32() (uint32, error) {
 	b, err := c.take(4)
 	if err != nil {
 		return 0, err
@@ -104,68 +200,54 @@ func (c *mapCursor) u32() (uint32, error) {
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-// rects / points / i32s / f64s / u64s / u32s alias (or decode) a column
-// of n values off the cursor.
+// zeros takes n pad bytes and requires them to be zero. Container pads
+// sit outside the header/frame CRCs, so this check is what keeps a
+// flipped pad bit a loud error.
+func (c *snapCursor) zeros(n uint64) error {
+	pad, err := c.take(n)
+	if err != nil {
+		return err
+	}
+	for _, b := range pad {
+		if b != 0 {
+			return fmt.Errorf("%w: nonzero padding", ErrBadSnapshot)
+		}
+	}
+	return nil
+}
 
-func (c *mapCursor) rects(n uint64) ([]geo.Rect, error) {
-	b, err := c.take(n * 32)
+// end requires the cursor to be fully consumed.
+func (c *snapCursor) end() error {
+	if c.remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, c.remaining())
+	}
+	return nil
+}
+
+// column takes n values of width bytes each and views them as []T:
+// aliased onto the mapping in aliasing mode, copied out in owning mode.
+func column[T any](c *snapCursor, n, width uint64, view func([]byte) []T) ([]T, error) {
+	b, err := c.take(n * width)
 	if err != nil {
 		return nil, err
 	}
-	return mmap.Rects(b), nil
-}
-
-func (c *mapCursor) points(n uint64) ([]geo.Point, error) {
-	b, err := c.take(n * 16)
-	if err != nil {
-		return nil, err
+	if c.pin == nil {
+		return slices.Clone(view(b)), nil
 	}
-	return mmap.Points(b), nil
+	return view(b), nil
 }
 
-func (c *mapCursor) i32s(n uint64) ([]int32, error) {
-	b, err := c.take(n * 4)
-	if err != nil {
-		return nil, err
-	}
-	return mmap.I32s(b), nil
-}
+func (c *snapCursor) rects(n uint64) ([]geo.Rect, error)   { return column(c, n, 32, mmap.Rects) }
+func (c *snapCursor) points(n uint64) ([]geo.Point, error) { return column(c, n, 16, mmap.Points) }
+func (c *snapCursor) i32s(n uint64) ([]int32, error)       { return column(c, n, 4, mmap.I32s) }
+func (c *snapCursor) f64s(n uint64) ([]float64, error)     { return column(c, n, 8, mmap.F64s) }
+func (c *snapCursor) u64s(n uint64) ([]uint64, error)      { return column(c, n, 8, mmap.U64s) }
+func (c *snapCursor) u32s(n uint64) ([]uint32, error)      { return column(c, n, 4, mmap.U32s) }
 
-func (c *mapCursor) f64s(n uint64) ([]float64, error) {
-	b, err := c.take(n * 8)
-	if err != nil {
-		return nil, err
-	}
-	return mmap.F64s(b), nil
-}
-
-func (c *mapCursor) u64s(n uint64) ([]uint64, error) {
-	b, err := c.take(n * 8)
-	if err != nil {
-		return nil, err
-	}
-	return mmap.U64s(b), nil
-}
-
-func (c *mapCursor) u32s(n uint64) ([]uint32, error) {
-	b, err := c.take(n * 4)
-	if err != nil {
-		return nil, err
-	}
-	return mmap.U32s(b), nil
-}
-
-func (c *mapCursor) skip(n uint64) error {
-	_, err := c.take(n)
-	return err
-}
-
-// readFrozenPayloadMapped is readFrozenPayload over a mapped cursor:
-// identical header parse, plausibility checks, and structural validation
-// (tqtree.FrozenFromColumns), but every column aliases the mapping and
-// each trajectory adopts its recorded length/MBR instead of recomputing
-// them from the points — the open never touches point data.
-func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, *trajectory.Set, error) {
+// parseFrozenPayload parses a frozen payload (header, columns,
+// trajectory table) and reassembles the index, structural validation
+// included.
+func parseFrozenPayload(cur *snapCursor) (*tqtree.Frozen, *trajectory.Set, error) {
 	var header [12]uint64
 	for i := range header {
 		v, err := cur.u64()
@@ -190,6 +272,9 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 	if c.Ordering != tqtree.ZOrder && c.Ordering != tqtree.Basic {
 		return nil, nil, fmt.Errorf("%w: invalid ordering %d", ErrBadSnapshot, header[1])
 	}
+	// Structural plausibility before any large take: every bucket holds
+	// at least one entry and every indexed trajectory contributes at
+	// least one entry, so corrupt counts fail here.
 	const maxCount = 1 << 31
 	if nn == 0 || nn > maxCount || ne > maxCount || nb > ne || nt > ne || (ne > 0 && nt == 0) {
 		return nil, nil, fmt.Errorf("%w: implausible frozen counts (nodes %d, buckets %d, entries %d, trajectories %d)",
@@ -209,7 +294,7 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 		c.EntryOff, err = cur.i32s(nn + 1)
 	}
 	if err == nil {
-		err = cur.skip(uint64(i32Pad(3*nn + 1)))
+		_, err = cur.take(pad8(4 * (3*nn + 1)))
 	}
 	if err == nil {
 		c.OwnUB, err = cur.f64s(nn * uint64(service.NumScenarios))
@@ -223,7 +308,7 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 			c.BktEntryOff, err = cur.i32s(nb + 1)
 		}
 		if err == nil {
-			err = cur.skip(uint64(i32Pad(nn + nb + 2)))
+			_, err = cur.take(pad8(4 * (nn + nb + 2)))
 		}
 		if err == nil {
 			c.BktMinStart, err = cur.u64s(nb)
@@ -260,15 +345,9 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 		return nil, nil, err
 	}
 
-	arena, trajs, err := mappedTrajectoryArena(cur, nt)
+	trajs, err := cur.trajectories(nt)
 	if err != nil {
 		return nil, nil, err
-	}
-	for i := range arena {
-		if err := readMappedTrajectoryRecordInto(cur, uint64(i), pin, &arena[i]); err != nil {
-			return nil, nil, err
-		}
-		trajs[i] = &arena[i]
 	}
 	set, err := trajectory.NewSetLazy(trajs)
 	if err != nil {
@@ -278,7 +357,7 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	f.SetPin(pin)
+	f.SetPin(cur.pin)
 	return f, set, nil
 }
 
@@ -287,314 +366,77 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 // minimum. It bounds how many records the remaining bytes can hold.
 const minTrajRecordBytes = 4 + 4 + 8 + 32 + 2*16
 
-// mappedTrajectoryArena allocates backing storage for n trajectory
-// records in one block — the pointer slice NewSet and the tree want,
-// over one arena allocation instead of n — after checking the cursor
-// can possibly hold n records, so a corrupt count cannot force a huge
-// allocation. The arena is sized up front and never grows: record
-// pointers taken from it stay valid.
-func mappedTrajectoryArena(cur *mapCursor, n uint64) ([]trajectory.Trajectory, []*trajectory.Trajectory, error) {
-	if rem := uint64(len(cur.b) - cur.off); n > rem/minTrajRecordBytes {
-		return nil, nil, fmt.Errorf("%w: trajectory count %d exceeds remaining bytes", ErrBadSnapshot, n)
+// trajectories parses n consecutive frozen trajectory records, after
+// checking the cursor can possibly hold n, so a corrupt count cannot
+// force a huge allocation.
+//
+// In aliasing mode each record adopts its cached length and MBR, and the
+// records share one arena allocation (the mapping outlives them anyway).
+// In owning mode the points are already fresh copies, so length and MBR
+// are recomputed from them (the writer's arithmetic, so bit-equal) and
+// must match the cached values — a writer bug or a CRC-resealed forgery
+// fails here instead of diverging the two restore paths. Each owned
+// trajectory is its own allocation, so deleting one frees its points.
+func (c *snapCursor) trajectories(n uint64) ([]*trajectory.Trajectory, error) {
+	if n > uint64(c.remaining())/minTrajRecordBytes {
+		return nil, fmt.Errorf("%w: trajectory count %d exceeds remaining bytes", ErrBadSnapshot, n)
 	}
-	return make([]trajectory.Trajectory, n), make([]*trajectory.Trajectory, n), nil
+	ts := make([]*trajectory.Trajectory, n)
+	var arena []trajectory.Trajectory
+	if c.pin != nil {
+		arena = make([]trajectory.Trajectory, n)
+	}
+	for i := range ts {
+		id, pts, lenBits, mbr, err := c.trajectoryRecord(i)
+		if err != nil {
+			return nil, err
+		}
+		if c.pin == nil {
+			t, err := trajectory.New(id, pts)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+			}
+			if math.Float64bits(t.Length()) != lenBits || t.MBR() != mbr {
+				return nil, fmt.Errorf("%w (trajectory %d)", errCachedGeometry, i)
+			}
+			ts[i] = t
+			continue
+		}
+		if err := trajectory.FromPartsInto(&arena[i], id, pts, math.Float64frombits(lenBits), mbr, c.pin); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		}
+		ts[i] = &arena[i]
+	}
+	return ts, nil
 }
 
-// readMappedTrajectoryRecordInto decodes one frozen trajectory record
-// off the cursor into dst, aliasing the points and adopting the
-// recorded length and MBR (integrity is the frame CRC, verified
-// before parsing).
-func readMappedTrajectoryRecordInto(cur *mapCursor, i uint64, pin *mappedToken, dst *trajectory.Trajectory) error {
-	id, err := cur.u32()
+// trajectoryRecord takes one frozen trajectory record: u32 id, u32 point
+// count, f64 length bits, Rect MBR, then the points.
+func (c *snapCursor) trajectoryRecord(i int) (trajectory.ID, []geo.Point, uint64, geo.Rect, error) {
+	head, err := c.take(16)
 	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return 0, nil, 0, geo.Rect{}, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
 	}
-	npts, err := cur.u32()
-	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
+	npts := binary.LittleEndian.Uint32(head[4:])
 	if npts < 2 || npts > 1<<24 {
-		return fmt.Errorf("%w: trajectory %d has %d points", ErrBadSnapshot, i, npts)
+		return 0, nil, 0, geo.Rect{}, fmt.Errorf("%w: trajectory %d has %d points", ErrBadSnapshot, i, npts)
 	}
-	lenBits, err := cur.u64()
+	mbr, err := c.take(32)
 	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return 0, nil, 0, geo.Rect{}, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
 	}
-	mbrCol, err := cur.rects(1)
+	pts, err := c.points(uint64(npts))
 	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return 0, nil, 0, geo.Rect{}, err
 	}
-	pts, err := cur.points(uint64(npts))
-	if err != nil {
-		return err
-	}
-	if err := trajectory.FromPartsInto(dst, trajectory.ID(id), pts, math.Float64frombits(lenBits), mbrCol[0], pin); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return nil
+	id := trajectory.ID(binary.LittleEndian.Uint32(head))
+	return id, pts, binary.LittleEndian.Uint64(head[8:]), mmap.Rects(mbr)[0], nil
 }
 
-// OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP03 file
-// by mapping it: the CRC is verified once, the columns alias the mapping
-// (zero-copy on little-endian hosts), and the mapping is released when
-// the last object restored from it is collected. Answers are
-// byte-identical to ReadFrozenSnapshot of the same file.
-func OpenMappedFrozenSnapshot(path string) (*FrozenIndex, error) {
-	m, err := mmap.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	tok := newMappedToken(m)
-	x, err := openMappedFrozen(m.Data(), tok)
-	if err != nil {
-		tok.drop()
-		return nil, err
-	}
-	return x, nil
-}
-
-func openMappedFrozen(data []byte, tok *mappedToken) (*FrozenIndex, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("%w: truncated snapshot", ErrBadSnapshot)
-	}
-	var magic [8]byte
-	copy(magic[:], data)
-	switch magic {
-	case frozenMagic:
-	case snapshotMagic, snapshotMagicV1:
-		return nil, fmt.Errorf("%w: rebuild-format snapshot; use ReadSnapshot", ErrBadSnapshot)
-	case shardedMagic, shardedFrozenMagic:
-		return nil, fmt.Errorf("%w: sharded snapshot; use OpenMappedFrozenShardedSnapshot", ErrBadSnapshot)
-	case liveMagic:
-		return nil, fmt.Errorf("%w: live snapshot; use OpenMappedLiveSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
-	}
-	cur := &mapCursor{b: body[8:]}
-	f, set, err := readFrozenPayloadMapped(cur, tok)
-	if err != nil {
-		return nil, err
-	}
-	if cur.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
-	}
-	return &FrozenIndex{engine: query.NewFrozenEngine(f, set), set: set}, nil
-}
-
-// mappedContainerHeader parses and CRC-checks the shared TQSHRD02 /
-// TQLIVE01 container header, returning the shard count, partitioner
-// kind, and a cursor positioned at the first frame.
-func mappedContainerHeader(data []byte) (nShards uint64, kind string, cur *mapCursor, err error) {
-	cur = &mapCursor{b: data, off: 8}
-	nShards, err = cur.u64()
-	if err != nil {
-		return 0, "", nil, err
-	}
-	kindLen, err := cur.u32()
-	if err != nil {
-		return 0, "", nil, err
-	}
-	if kindLen > 256 {
-		return 0, "", nil, fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
-	}
-	kindBuf, err := cur.take(uint64(kindLen))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	wantHdr := crc32.ChecksumIEEE(data[:cur.off])
-	gotHdr, err := cur.u32()
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("%w: missing header checksum", ErrBadSnapshot)
-	}
-	if gotHdr != wantHdr {
-		return 0, "", nil, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
-	}
-	pad, err := cur.take(pad8(uint64(kindLen)))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	for _, b := range pad {
-		if b != 0 {
-			return 0, "", nil, fmt.Errorf("%w: nonzero padding", ErrBadSnapshot)
-		}
-	}
-	const maxShards = 1 << 16
-	if nShards == 0 || nShards > maxShards {
-		return 0, "", nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
-	}
-	return nShards, string(kindBuf), cur, nil
-}
-
-// mappedFrame CRC-checks frame s and returns a cursor over its payload,
-// advancing the container cursor past the frame.
-func mappedFrame(cur *mapCursor, s uint64) (*mapCursor, error) {
-	payloadLen, err := cur.u64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
-	}
-	payload, err := cur.take(payloadLen)
-	if err != nil {
-		return nil, fmt.Errorf("frame %d: %w", s, err)
-	}
-	gotFrame, err := cur.u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: frame %d missing checksum", ErrBadSnapshot, s)
-	}
-	if crc32.ChecksumIEEE(payload) != gotFrame {
-		return nil, fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
-	}
-	pad, err := cur.take(4)
-	if err != nil {
-		return nil, fmt.Errorf("frame %d: %w", s, err)
-	}
-	for _, b := range pad {
-		if b != 0 {
-			return nil, fmt.Errorf("%w: frame %d nonzero padding", ErrBadSnapshot, s)
-		}
-	}
-	return &mapCursor{b: payload}, nil
-}
-
-// OpenMappedFrozenShardedSnapshot restores a FrozenShardedIndex from a
-// TQSHRD02 file by mapping it; every shard's columns alias one shared
-// mapping. Answers are byte-identical to ReadFrozenShardedSnapshot.
-func OpenMappedFrozenShardedSnapshot(path string) (*FrozenShardedIndex, error) {
-	m, err := mmap.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	tok := newMappedToken(m)
-	x, err := openMappedFrozenSharded(m.Data(), tok)
-	if err != nil {
-		tok.drop()
-		return nil, err
-	}
-	return x, nil
-}
-
-func openMappedFrozenSharded(data []byte, tok *mappedToken) (*FrozenShardedIndex, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: truncated snapshot", ErrBadSnapshot)
-	}
-	var magic [8]byte
-	copy(magic[:], data)
-	switch magic {
-	case shardedFrozenMagic:
-	case shardedMagic:
-		return nil, fmt.Errorf("%w: rebuild-format sharded snapshot; use ReadShardedSnapshot", ErrBadSnapshot)
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or OpenMappedFrozenSnapshot", ErrBadSnapshot)
-	case liveMagic:
-		return nil, fmt.Errorf("%w: live snapshot; use OpenMappedLiveSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	nShards, kind, cur, err := mappedContainerHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	engines := make([]*query.FrozenEngine, 0, nShards)
-	bounds := geo.Rect{}
-	for s := uint64(0); s < nShards; s++ {
-		fcur, err := mappedFrame(cur, s)
-		if err != nil {
-			return nil, err
-		}
-		f, set, err := readFrozenPayloadMapped(fcur, tok)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		if fcur.remaining() != 0 {
-			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, fcur.remaining())
-		}
-		if s == 0 {
-			bounds = f.Bounds()
-		}
-		engines = append(engines, query.NewFrozenEngine(f, set))
-	}
-	if cur.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after last frame", ErrBadSnapshot, cur.remaining())
-	}
-	sf, err := shard.FrozenFromEngines(engines, bounds, kind)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return &FrozenShardedIndex{s: sf}, nil
-}
-
-// OpenMappedLiveSnapshot restores a live index from a TQLIVE01 file by
-// mapping it: every shard's frozen base columns (and the delta
-// trajectories' points) alias the mapping, while the restored index
-// stays fully mutable — writes land in heap epochs, and background
-// rebuilds fold mapped trajectories into heap bases, retiring the
-// mapping once nothing references it. Answers are byte-identical to
-// ReadLiveSnapshot of the same file.
-func OpenMappedLiveSnapshot(path string, pol LivePolicy) (*LiveShardedIndex, error) {
-	m, err := mmap.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	tok := newMappedToken(m)
-	x, err := openMappedLive(m.Data(), tok, pol)
-	if err != nil {
-		tok.drop()
-		return nil, err
-	}
-	return x, nil
-}
-
-func openMappedLive(data []byte, tok *mappedToken, pol LivePolicy) (*LiveShardedIndex, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: truncated snapshot", ErrBadSnapshot)
-	}
-	var magic [8]byte
-	copy(magic[:], data)
-	switch magic {
-	case liveMagic:
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or OpenMappedFrozenSnapshot", ErrBadSnapshot)
-	case shardedMagic, shardedFrozenMagic:
-		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or OpenMappedFrozenShardedSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	nShards, kind, cur, err := mappedContainerHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	eps := make([]*query.Epoch, 0, nShards)
-	for s := uint64(0); s < nShards; s++ {
-		fcur, err := mappedFrame(cur, s)
-		if err != nil {
-			return nil, err
-		}
-		ep, err := readLivePayloadMapped(fcur, tok)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		if fcur.remaining() != 0 {
-			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, fcur.remaining())
-		}
-		eps = append(eps, ep)
-	}
-	if cur.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after last frame", ErrBadSnapshot, cur.remaining())
-	}
-	part, _ := shard.PartitionerOf(kind)
-	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return &LiveShardedIndex{s: l}, nil
-}
-
-// readLivePayloadMapped is readLivePayload over a mapped cursor.
-func readLivePayloadMapped(cur *mapCursor, tok *mappedToken) (*query.Epoch, error) {
-	f, set, err := readFrozenPayloadMapped(cur, tok)
+// parseLivePayload parses one TQLIVE01 frame: the frozen base, then the
+// tombstones and delta, revalidated against the base.
+func parseLivePayload(cur *snapCursor) (*query.Epoch, error) {
+	f, set, err := parseFrozenPayload(cur)
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +458,7 @@ func readLivePayloadMapped(cur *mapCursor, tok *mappedToken) (*query.Epoch, erro
 	if uint64(len(dead)) != nDead {
 		return nil, fmt.Errorf("%w: duplicate tombstone ids", ErrBadSnapshot)
 	}
-	if err := cur.skip(uint64(i32Pad(nDead))); err != nil {
+	if _, err := cur.take(pad8(4 * nDead)); err != nil {
 		return nil, err
 	}
 	nDelta, err := cur.u64()
@@ -626,19 +468,181 @@ func readLivePayloadMapped(cur *mapCursor, tok *mappedToken) (*query.Epoch, erro
 	if nDelta > maxTrajectories {
 		return nil, fmt.Errorf("%w: implausible delta count %d", ErrBadSnapshot, nDelta)
 	}
-	arena, delta, err := mappedTrajectoryArena(cur, nDelta)
+	delta, err := cur.trajectories(nDelta)
 	if err != nil {
 		return nil, err
-	}
-	for i := range arena {
-		if err := readMappedTrajectoryRecordInto(cur, uint64(i), tok, &arena[i]); err != nil {
-			return nil, err
-		}
-		delta[i] = &arena[i]
 	}
 	ep, err := query.NewEpoch(query.NewFrozenEngine(f, set), delta, dead, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return ep, nil
+}
+
+// parseFrozenSnapshot parses a TQSNAP03 image: magic, frozen payload,
+// and a CRC32 trailer over everything before it.
+func parseFrozenSnapshot(data []byte, pin any) (*FrozenIndex, error) {
+	if err := checkMagic(data, frozenMagic); err != nil {
+		return nil, err
+	}
+	if len(data) < 12 {
+		return nil, fmt.Errorf("%w: truncated snapshot", ErrBadSnapshot)
+	}
+	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
+	}
+	cur := &snapCursor{b: body[8:], pin: pin}
+	f, set, err := parseFrozenPayload(cur)
+	if err == nil {
+		err = cur.end()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &FrozenIndex{engine: query.NewFrozenEngine(f, set), set: set}, nil
+}
+
+// parseContainer parses a TQSHRD02/TQLIVE01 image: magic, a CRC'd
+// header (shard count, partitioner kind) realigned to 8, then one
+// length-prefixed, CRC'd, zero-padded frame per shard. parseFrame gets
+// a cursor over each frame's payload and must consume all of it.
+// Returns the partitioner kind.
+func parseContainer(data []byte, magic [8]byte, pin any, parseFrame func(*snapCursor) error) (string, error) {
+	if err := checkMagic(data, magic); err != nil {
+		return "", err
+	}
+	cur := &snapCursor{b: data, off: 8}
+	nShards, err := cur.u64()
+	if err != nil {
+		return "", err
+	}
+	kindLen, err := cur.u32()
+	if err != nil {
+		return "", err
+	}
+	if kindLen > 256 {
+		return "", fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
+	}
+	kind, err := cur.take(uint64(kindLen))
+	if err != nil {
+		return "", err
+	}
+	wantHdr := crc32.ChecksumIEEE(data[:cur.off])
+	if gotHdr, err := cur.u32(); err != nil {
+		return "", fmt.Errorf("%w: missing header checksum", ErrBadSnapshot)
+	} else if gotHdr != wantHdr {
+		return "", fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
+	}
+	if err := cur.zeros(pad8(uint64(kindLen))); err != nil {
+		return "", err
+	}
+	const maxShards = 1 << 16
+	if nShards == 0 || nShards > maxShards {
+		return "", fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
+	}
+	for s := uint64(0); s < nShards; s++ {
+		payloadLen, err := cur.u64()
+		if err != nil {
+			return "", fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
+		}
+		payload, err := cur.take(payloadLen)
+		if err != nil {
+			return "", fmt.Errorf("frame %d: %w", s, err)
+		}
+		if gotFrame, err := cur.u32(); err != nil {
+			return "", fmt.Errorf("%w: frame %d missing checksum", ErrBadSnapshot, s)
+		} else if crc32.ChecksumIEEE(payload) != gotFrame {
+			return "", fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
+		}
+		if err := cur.zeros(4); err != nil {
+			return "", fmt.Errorf("frame %d: %w", s, err)
+		}
+		fcur := &snapCursor{b: payload, pin: pin}
+		err = parseFrame(fcur)
+		if err == nil {
+			err = fcur.end()
+		}
+		if err != nil {
+			return "", fmt.Errorf("frame %d: %w", s, err)
+		}
+	}
+	if err := cur.end(); err != nil {
+		return "", fmt.Errorf("after last frame: %w", err)
+	}
+	return string(kind), nil
+}
+
+// parseFrozenShardedSnapshot parses a TQSHRD02 image: one frozen
+// payload per frame.
+func parseFrozenShardedSnapshot(data []byte, pin any) (*FrozenShardedIndex, error) {
+	var engines []*query.FrozenEngine
+	var bounds geo.Rect
+	kind, err := parseContainer(data, shardedFrozenMagic, pin, func(cur *snapCursor) error {
+		f, set, err := parseFrozenPayload(cur)
+		if err != nil {
+			return err
+		}
+		if len(engines) == 0 {
+			bounds = f.Bounds()
+		}
+		engines = append(engines, query.NewFrozenEngine(f, set))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sf, err := shard.FrozenFromEngines(engines, bounds, kind)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	return &FrozenShardedIndex{s: sf}, nil
+}
+
+// parseLiveSnapshot parses a TQLIVE01 image: one epoch per frame.
+func parseLiveSnapshot(data []byte, pin any, pol LivePolicy) (*LiveShardedIndex, error) {
+	var eps []*query.Epoch
+	kind, err := parseContainer(data, liveMagic, pin, func(cur *snapCursor) error {
+		ep, err := parseLivePayload(cur)
+		eps = append(eps, ep)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	part, _ := shard.PartitionerOf(kind)
+	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	return &LiveShardedIndex{s: l}, nil
+}
+
+// OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP03 file
+// by mapping it: the CRC is verified once, the columns alias the mapping
+// (zero-copy on little-endian hosts), and the mapping is released when
+// the last object restored from it is collected. Answers are
+// byte-identical to ReadFrozenSnapshot of the same file.
+func OpenMappedFrozenSnapshot(path string) (*FrozenIndex, error) {
+	return openMapped(path, parseFrozenSnapshot)
+}
+
+// OpenMappedFrozenShardedSnapshot restores a FrozenShardedIndex from a
+// TQSHRD02 file by mapping it; every shard's columns alias one shared
+// mapping. Answers are byte-identical to ReadFrozenShardedSnapshot.
+func OpenMappedFrozenShardedSnapshot(path string) (*FrozenShardedIndex, error) {
+	return openMapped(path, parseFrozenShardedSnapshot)
+}
+
+// OpenMappedLiveSnapshot restores a live index from a TQLIVE01 file by
+// mapping it: every shard's frozen base columns (and the delta
+// trajectories' points) alias the mapping, while the restored index
+// stays fully mutable — writes land in heap epochs, and background
+// rebuilds fold mapped trajectories into heap bases, retiring the
+// mapping once nothing references it. Answers are byte-identical to
+// ReadLiveSnapshot of the same file.
+func OpenMappedLiveSnapshot(path string, pol LivePolicy) (*LiveShardedIndex, error) {
+	return openMapped(path, func(data []byte, pin any) (*LiveShardedIndex, error) {
+		return parseLiveSnapshot(data, pin, pol)
+	})
 }

@@ -1,20 +1,21 @@
 package trajcover
 
-// Mapped restore must be indistinguishable from the streaming readers:
-// bit-identical answers, byte-identical re-snapshots, and the same
-// loud-rejection contract for corrupt files — a truncated or flipped
-// mapped file errors at open, never SIGBUSes or serves wrong values.
+// Mapped restore must be indistinguishable from the heap restores
+// (Read*Snapshot): bit-identical answers, byte-identical re-snapshots,
+// and the same loud-rejection contract for corrupt files — a truncated
+// or flipped mapped file errors at open, never SIGBUSes or serves wrong
+// values.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/mmap"
@@ -154,7 +155,7 @@ func TestMappedFrozenShardedMatchesHeap(t *testing.T) {
 }
 
 // TestMappedLiveMatchesHeapAndStaysMutable: a mapped live restore
-// answers bit-identically to the streaming restore — and remains fully
+// answers bit-identically to the heap restore — and remains fully
 // writable: inserts, deletes, and compaction (which folds the mapped
 // base into a fresh heap base) all work on top of mapped columns.
 func TestMappedLiveMatchesHeapAndStaysMutable(t *testing.T) {
@@ -288,8 +289,9 @@ func openMappedNoPanic(open func(string) (queryOracle, error), path string) (err
 }
 
 // TestMappedSnapshotTruncation: every proper prefix of a valid snapshot
-// file is rejected by the mapped open with an error — never a panic and
-// never an out-of-bounds fault (every cursor read is length-checked).
+// file, and the file plus one trailing byte, is rejected by the mapped
+// open with an error — never a panic and never an out-of-bounds fault
+// (every cursor read is length-checked).
 func TestMappedSnapshotTruncation(t *testing.T) {
 	dir := t.TempDir()
 	for _, f := range frozenFiles(t) {
@@ -305,6 +307,12 @@ func TestMappedSnapshotTruncation(t *testing.T) {
 			if err := openMappedNoPanic(f.open, path); err == nil {
 				t.Fatalf("%s: mapped open of %d/%d-byte truncation accepted", f.name, cut, len(f.data))
 			}
+		}
+		if err := os.WriteFile(path, append(bytes.Clone(f.data), 0), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := openMappedNoPanic(f.open, path); err == nil {
+			t.Fatalf("%s: mapped open of %d-byte file plus one trailing byte accepted", f.name, len(f.data))
 		}
 	}
 }
@@ -408,14 +416,6 @@ func resealSnapshot(data []byte) []byte {
 	return out
 }
 
-// isCachedGeometryErr reports the one rejection only a heap restore
-// makes: a trajectory record whose cached length/MBR disagree with its
-// points (the mapped open adopts the cached values without reading
-// points).
-func isCachedGeometryErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "cached length/MBR disagree")
-}
-
 // assertHeapMatchesMapped writes data to path and restores it both ways:
 // the heap restore and the mapped open must both fail, or both succeed
 // and answer bit-identically.
@@ -430,7 +430,9 @@ func assertHeapMatchesMapped(t *testing.T, ff frozenFile, path string, data []by
 	case herr != nil && merr != nil:
 	case herr == nil && merr == nil:
 		assertMappedAnswers(t, ff.name, heap, mapped)
-	case merr == nil && isCachedGeometryErr(herr):
+	case merr == nil && errors.Is(herr, errCachedGeometry):
+		// The one allowed difference: only the heap restore recomputes
+		// cached trajectory geometry from the points.
 	default:
 		t.Fatalf("%s (%d bytes): heap restore err = %v, mapped open err = %v", ff.name, len(data), herr, merr)
 	}
@@ -461,6 +463,54 @@ func FuzzSnapshotHeapVsMapped(f *testing.F) {
 			assertHeapMatchesMapped(t, ff, filepath.Join(dir, "sealed"), sealed)
 		}
 	})
+}
+
+// TestHeapRestoreChecksCachedGeometry: a heap restore recomputes each
+// trajectory's length and MBR from its points and rejects a record whose
+// cached values disagree, even with every CRC resealed over the forgery.
+// Here the first base trajectory's cached length is off by one ulp.
+func TestHeapRestoreChecksCachedGeometry(t *testing.T) {
+	ny := NewYorkCity()
+	users := TaxiTrips(ny, 30, 41)
+	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := idx.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := churnedLiveIndex(t, users)
+	cases := []struct {
+		name  string
+		write func(io.Writer) error
+		first *Trajectory
+		read  func(io.Reader) error
+	}{
+		{"TQSNAP03", fz.WriteSnapshot, fz.engine.Frozen().Trajectories()[0],
+			func(r io.Reader) error { _, err := ReadFrozenSnapshot(r); return err }},
+		{"TQLIVE01", lv.WriteSnapshot, lv.epochs()[0].Base().Frozen().Trajectories()[0],
+			func(r io.Reader) error { _, err := ReadLiveSnapshot(r, LivePolicy{Manual: true}); return err }},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		lenBits := math.Float64bits(c.first.Length())
+		rec := binary.LittleEndian.AppendUint32(nil, uint32(c.first.ID))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(c.first.Len()))
+		rec = binary.LittleEndian.AppendUint64(rec, lenBits)
+		at := bytes.Index(data, rec)
+		if at < 0 || bytes.Contains(data[at+1:], rec) {
+			t.Fatalf("%s: trajectory %d record not found exactly once", c.name, c.first.ID)
+		}
+		binary.LittleEndian.PutUint64(data[at+8:], lenBits+1)
+		if err := c.read(bytes.NewReader(resealSnapshot(data))); !errors.Is(err, errCachedGeometry) {
+			t.Fatalf("%s: forged cached length: err = %v, want the cached-geometry error", c.name, err)
+		}
+	}
 }
 
 // benchSnapshotPath builds a moderately sized frozen snapshot once per
