@@ -50,22 +50,7 @@ func Anneal(src CoverageSource, facilities []*trajectory.Facility, k int, p quer
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	var srcBuf, dstBuf []uint64
-	if cache.binIdx != nil {
-		words := (len(cache.binIdx) + 63) / 64
-		srcBuf = make([]uint64, words)
-		dstBuf = make([]uint64, words)
-	}
-	subsetBuf := make([]*trajectory.Facility, k)
-	evaluate := func(genes []int) float64 {
-		for i, g := range genes {
-			subsetBuf[i] = facilities[g]
-		}
-		if srcBuf != nil {
-			return cache.binarySubsetValue(subsetBuf, srcBuf, dstBuf)
-		}
-		return cache.subsetValue(subsetBuf)
-	}
+	evaluate := cache.genesEvaluator(facilities, k)
 
 	// Start from a random subset.
 	cur := rng.Perm(len(facilities))[:k]
@@ -114,9 +99,6 @@ func Anneal(src CoverageSource, facilities []*trajectory.Facility, k int, p quer
 	for i, g := range best {
 		chosen[i] = facilities[g]
 	}
-	return Result{
-		Facilities:  chosen,
-		Value:       bestVal,
-		UsersServed: cache.usersServed(chosen),
-	}, nil
+	_, served := cache.evaluate(chosen)
+	return Result{Facilities: chosen, Value: bestVal, UsersServed: served}, nil
 }

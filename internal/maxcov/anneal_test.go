@@ -40,7 +40,7 @@ func TestAnnealNeverBeatsExactAndBeatsRandom(t *testing.T) {
 		for j, g := range perm {
 			subset[j] = facilities[g]
 		}
-		avg += cache.subsetValue(subset)
+		avg += subsetValue(cache, subset)
 	}
 	avg /= trials
 	if ann.Value < avg {

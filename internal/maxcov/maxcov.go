@@ -12,6 +12,18 @@
 //     k-subsets.
 //   - Exact: exhaustive subset enumeration, the approximation-ratio
 //     reference for Figure 11.
+//   - Anneal: simulated annealing over k-subsets, another offline
+//     comparison point.
+//
+// Every solver first computes each candidate facility's coverage and
+// keeps it in one of two representations, chosen by the query. Under
+// the Binary scenario on a non-Segmented variant, a user is served
+// exactly when some chosen facility covers its source and some chosen
+// facility covers its destination, so each facility is kept as two
+// bitsets over the touched users and subset values are popcounts of
+// ORed bitsets. Every other query (PointCount, Length, or a Segmented
+// variant) keeps each facility's per-user point masks from the query
+// package and scores the union of masks. Facility IDs must be distinct.
 package maxcov
 
 import (
@@ -82,90 +94,159 @@ type Result struct {
 	UsersServed int
 }
 
-// covCache precomputes and stores per-facility coverages.
+// covCache holds the coverage of a candidate facility set in one of two
+// representations, chosen by the query.
+//
+// The general path keeps each facility's per-user point masks; a
+// subset's value is the objective of the unioned masks.
+//
+// The binary path (Binary scenario, non-Segmented variant) keeps only two
+// bitsets per facility over a dense index of touched users: the users
+// whose source it covers and the users whose destination it covers. A
+// user is served by a subset exactly when its source bit is in the OR of
+// the subset's source bitsets and its destination bit in the OR of their
+// destination bitsets, so SO(U, F') = popcount(OR(src) & OR(dst)). Masks
+// are folded into the bitsets as they are computed and never retained.
 type covCache struct {
 	src  CoverageSource
 	p    query.Params
-	covs map[trajectory.ID]service.Coverage
-
-	// Binary fast path (non-Segmented variants): per-facility bitsets of
-	// users whose source / destination the facility covers, over a dense
-	// index of touched users. A subset's combined value is then
-	// popcount(OR(src) & OR(dst)) — no mask merging.
-	binIdx map[trajectory.ID]int // user id -> dense bit index
-	binSrc map[trajectory.ID][]uint64
-	binDst map[trajectory.ID][]uint64
+	covs map[trajectory.ID]service.Coverage // general path
+	bin  *binPack                           // binary path
 }
 
+// binPack is the binary path's state. Facility bitsets grow with the
+// dense user index, so an earlier facility's bitsets may be shorter than
+// a later one's; missing words are zero.
+type binPack struct {
+	users  map[trajectory.ID]binUser
+	fac    map[trajectory.ID]facBits
+	srcBuf []uint64 // subset-evaluation scratch, see covCache.evaluate
+	dstBuf []uint64
+}
+
+// binUser is a touched user's dense bit and last point index.
+type binUser struct{ bit, last int32 }
+
+type facBits struct{ src, dst []uint64 }
+
 func newCovCache(src CoverageSource, facilities []*trajectory.Facility, p query.Params) (*covCache, error) {
-	c := &covCache{src: src, p: p, covs: make(map[trajectory.ID]service.Coverage, len(facilities))}
+	if err := checkDistinctIDs(facilities); err != nil {
+		return nil, err
+	}
+	c := &covCache{src: src, p: p}
+	if p.Scenario == service.Binary && src.Variant() != tqtree.Segmented {
+		c.bin = &binPack{users: map[trajectory.ID]binUser{}, fac: make(map[trajectory.ID]facBits, len(facilities))}
+	} else {
+		c.covs = make(map[trajectory.ID]service.Coverage, len(facilities))
+	}
 	for _, f := range facilities {
 		cov, err := src.Coverage(f, p)
 		if err != nil {
 			return nil, fmt.Errorf("maxcov: coverage of facility %d: %w", f.ID, err)
 		}
-		c.covs[f.ID] = cov
+		if c.bin != nil {
+			c.bin.fold(f.ID, cov, src.Users())
+		} else {
+			c.covs[f.ID] = cov
+		}
 	}
-	if p.Scenario == service.Binary && src.Variant() != tqtree.Segmented {
-		c.buildBinaryPack(facilities)
+	if c.bin != nil {
+		c.bin.srcBuf = make([]uint64, c.bin.words())
+		c.bin.dstBuf = make([]uint64, c.bin.words())
 	}
 	return c, nil
 }
 
-// buildBinaryPack assembles the Binary fast-path bitsets.
-func (c *covCache) buildBinaryPack(facilities []*trajectory.Facility) {
-	users := c.src.Users()
-	c.binIdx = map[trajectory.ID]int{}
-	for _, cov := range c.covs {
-		for id := range cov {
-			if _, ok := c.binIdx[id]; !ok {
-				c.binIdx[id] = len(c.binIdx)
-			}
-		}
-	}
-	words := (len(c.binIdx) + 63) / 64
-	c.binSrc = make(map[trajectory.ID][]uint64, len(facilities))
-	c.binDst = make(map[trajectory.ID][]uint64, len(facilities))
+// checkDistinctIDs rejects facility sets in which two facilities share an
+// ID: coverage is keyed by ID, so they would silently share one coverage.
+func checkDistinctIDs(facilities []*trajectory.Facility) error {
+	seen := make(map[trajectory.ID]struct{}, len(facilities))
 	for _, f := range facilities {
-		srcBits := make([]uint64, words)
-		dstBits := make([]uint64, words)
-		for id, m := range c.covs[f.ID] {
-			u := users.ByID(id)
-			if u == nil {
-				continue
-			}
-			bit := c.binIdx[id]
-			if m.Get(0) {
-				srcBits[bit/64] |= 1 << (uint(bit) % 64)
-			}
-			if m.Get(u.Len() - 1) {
-				dstBits[bit/64] |= 1 << (uint(bit) % 64)
-			}
+		if _, dup := seen[f.ID]; dup {
+			return fmt.Errorf("maxcov: duplicate facility id %d", f.ID)
 		}
-		c.binSrc[f.ID] = srcBits
-		c.binDst[f.ID] = dstBits
+		seen[f.ID] = struct{}{}
 	}
+	return nil
 }
 
-// binarySubsetValue computes the Binary combined value via bitsets.
-// Buffers are reused across calls; not safe for concurrent use.
-func (c *covCache) binarySubsetValue(subset []*trajectory.Facility, srcBuf, dstBuf []uint64) float64 {
-	for i := range srcBuf {
-		srcBuf[i], dstBuf[i] = 0, 0
+// fold records one facility's coverage as its source/destination bitsets.
+func (b *binPack) fold(id trajectory.ID, cov service.Coverage, users *trajectory.Set) {
+	var fb facBits
+	for uid, m := range cov {
+		bu, ok := b.users[uid]
+		if !ok {
+			u := users.ByID(uid)
+			if u == nil || !m.Get(0) && !m.Get(u.Len()-1) {
+				continue // no bit to set yet
+			}
+			bu = binUser{bit: int32(len(b.users)), last: int32(u.Len() - 1)}
+			b.users[uid] = bu
+		}
+		w, bit := int(bu.bit/64), uint64(1)<<(uint(bu.bit)%64)
+		for len(fb.src) <= w {
+			fb.src = append(fb.src, 0)
+			fb.dst = append(fb.dst, 0)
+		}
+		if m.Get(0) {
+			fb.src[w] |= bit
+		}
+		if m.Get(int(bu.last)) {
+			fb.dst[w] |= bit
+		}
 	}
+	b.fac[id] = fb
+}
+
+// words is the length of the longest facility bitset.
+func (b *binPack) words() int { return (len(b.users) + 63) / 64 }
+
+// evaluate returns SO(U, F') for a subset and the number of users it
+// serves with positive value. The binary path reuses the cache's
+// buffers, so a cache is not safe for concurrent use.
+func (c *covCache) evaluate(subset []*trajectory.Facility) (value float64, served int) {
+	if b := c.bin; b != nil {
+		clear(b.srcBuf)
+		clear(b.dstBuf)
+		for _, f := range subset {
+			fb := b.fac[f.ID]
+			for i, w := range fb.src {
+				b.srcBuf[i] |= w
+				b.dstBuf[i] |= fb.dst[i]
+			}
+		}
+		for i, w := range b.srcBuf {
+			served += bits.OnesCount64(w & b.dstBuf[i])
+		}
+		return float64(served), served
+	}
+	merged := service.Coverage{}
 	for _, f := range subset {
-		for i, w := range c.binSrc[f.ID] {
-			srcBuf[i] |= w
-		}
-		for i, w := range c.binDst[f.ID] {
-			dstBuf[i] |= w
+		merged.Merge(c.covs[f.ID])
+	}
+	users := c.src.Users()
+	for id, m := range merged {
+		if u := users.ByID(id); u != nil {
+			if v := c.valueOf(u, m); v > 0 {
+				value += v
+				served++
+			}
 		}
 	}
-	n := 0
-	for i := range srcBuf {
-		n += bits.OnesCount64(srcBuf[i] & dstBuf[i])
+	return value, served
+}
+
+// genesEvaluator returns evaluate's value for a k-subset given as indexes
+// into facilities, the encoding Genetic and Anneal search over.
+func (c *covCache) genesEvaluator(facilities []*trajectory.Facility, k int) func(genes []int) float64 {
+	subset := make([]*trajectory.Facility, k)
+	return func(genes []int) float64 {
+		for i, g := range genes {
+			subset[i] = facilities[g]
+		}
+		v, _ := c.evaluate(subset)
+		return v
 	}
-	return float64(n)
 }
 
 // valueOf returns the objective value of a single user's mask.
@@ -173,58 +254,61 @@ func (c *covCache) valueOf(u *trajectory.Trajectory, m service.Mask) float64 {
 	return query.ObjectiveFromMask(c.src.Variant(), c.p.Scenario, u, m)
 }
 
-// subsetValue computes SO(U, F') for a subset by mask union.
-func (c *covCache) subsetValue(subset []*trajectory.Facility) float64 {
-	merged := service.Coverage{}
-	for _, f := range subset {
-		merged.Merge(c.covs[f.ID])
-	}
-	users := c.src.Users()
-	var total float64
-	for id, m := range merged {
-		if u := users.ByID(id); u != nil {
-			total += c.valueOf(u, m)
-		}
-	}
-	return total
+// greedyState is the greedy's running chosen set.
+type greedyState interface {
+	// marginal computes SO(U, chosen ∪ {f}) − SO(U, chosen) without
+	// mutating the state.
+	marginal(f *trajectory.Facility) float64
+	// add commits f to the chosen set and returns SO(U, chosen).
+	add(f *trajectory.Facility) float64
 }
 
-// usersServed counts users with positive combined value for a subset.
-func (c *covCache) usersServed(subset []*trajectory.Facility) int {
-	merged := service.Coverage{}
-	for _, f := range subset {
-		merged.Merge(c.covs[f.ID])
+func newGreedyState(cache *covCache) greedyState {
+	if b := cache.bin; b != nil {
+		return &bitGreedy{bin: b, src: make([]uint64, b.words()), dst: make([]uint64, b.words())}
 	}
-	users := c.src.Users()
-	n := 0
-	for id, m := range merged {
-		if u := users.ByID(id); u != nil && c.valueOf(u, m) > 0 {
-			n++
-		}
-	}
-	return n
+	return &maskGreedy{cache: cache, merged: service.Coverage{}, curVal: map[trajectory.ID]float64{}}
 }
 
-// greedyState tracks the merged coverage and per-user current values so
-// marginal gains touch only the users a candidate facility covers.
-type greedyState struct {
+// bitGreedy is the binary path's greedy state: the ORed source and
+// destination bitsets of the chosen facilities. Gains are exact integers.
+type bitGreedy struct {
+	bin      *binPack
+	src, dst []uint64
+	served   int
+}
+
+func (g *bitGreedy) marginal(f *trajectory.Facility) float64 {
+	fb := g.bin.fac[f.ID]
+	gain := 0
+	for i, w := range fb.src {
+		s, d := g.src[i], g.dst[i]
+		gain += bits.OnesCount64((s|w)&(d|fb.dst[i])) - bits.OnesCount64(s&d)
+	}
+	return float64(gain)
+}
+
+func (g *bitGreedy) add(f *trajectory.Facility) float64 {
+	g.served += int(g.marginal(f))
+	fb := g.bin.fac[f.ID]
+	for i, w := range fb.src {
+		g.src[i] |= w
+		g.dst[i] |= fb.dst[i]
+	}
+	return float64(g.served)
+}
+
+// maskGreedy is the general path's greedy state: the merged coverage and
+// per-user current values, so marginal gains touch only the users a
+// candidate facility covers.
+type maskGreedy struct {
 	cache  *covCache
 	merged service.Coverage
 	curVal map[trajectory.ID]float64
 	total  float64
 }
 
-func newGreedyState(cache *covCache) *greedyState {
-	return &greedyState{
-		cache:  cache,
-		merged: service.Coverage{},
-		curVal: map[trajectory.ID]float64{},
-	}
-}
-
-// marginal computes SO(U, chosen ∪ {f}) − SO(U, chosen) without mutating
-// the state.
-func (g *greedyState) marginal(f *trajectory.Facility) float64 {
+func (g *maskGreedy) marginal(f *trajectory.Facility) float64 {
 	cov := g.cache.covs[f.ID]
 	users := g.cache.src.Users()
 	var delta float64
@@ -245,8 +329,7 @@ func (g *greedyState) marginal(f *trajectory.Facility) float64 {
 	return delta
 }
 
-// add commits f to the chosen set.
-func (g *greedyState) add(f *trajectory.Facility) {
+func (g *maskGreedy) add(f *trajectory.Facility) float64 {
 	cov := g.cache.covs[f.ID]
 	users := g.cache.src.Users()
 	g.merged.Merge(cov)
@@ -259,6 +342,7 @@ func (g *greedyState) add(f *trajectory.Facility) {
 		g.total += v - g.curVal[id]
 		g.curVal[id] = v
 	}
+	return g.total
 }
 
 // Greedy runs the straightforward greedy of Section V-A: iteratively add
@@ -283,6 +367,7 @@ func greedyFromCache(cache *covCache, facilities []*trajectory.Facility, k int) 
 	remaining := append([]*trajectory.Facility(nil), facilities...)
 	sort.Slice(remaining, func(i, j int) bool { return remaining[i].ID < remaining[j].ID })
 	var chosen []*trajectory.Facility
+	var value float64
 	for len(chosen) < k && len(remaining) > 0 {
 		bestIdx := -1
 		bestGain := -1.0
@@ -293,15 +378,12 @@ func greedyFromCache(cache *covCache, facilities []*trajectory.Facility, k int) 
 			}
 		}
 		f := remaining[bestIdx]
-		st.add(f)
+		value = st.add(f)
 		chosen = append(chosen, f)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
-	return Result{
-		Facilities:  chosen,
-		Value:       st.total,
-		UsersServed: cache.usersServed(chosen),
-	}
+	_, served := cache.evaluate(chosen)
+	return Result{Facilities: chosen, Value: value, UsersServed: served}
 }
 
 // DefaultCandidateSize returns the paper's k' (the two-step pruning
@@ -327,6 +409,9 @@ func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPri
 	}
 	if k > len(facilities) {
 		k = len(facilities)
+	}
+	if err := checkDistinctIDs(facilities); err != nil {
+		return Result{}, err
 	}
 	if kPrime <= 0 {
 		kPrime = DefaultCandidateSize(k, len(facilities))
@@ -376,23 +461,11 @@ func Exact(src CoverageSource, facilities []*trajectory.Facility, k int, p query
 	}
 	best := Result{Value: -1}
 	subset := make([]*trajectory.Facility, k)
-	var srcBuf, dstBuf []uint64
-	if cache.binIdx != nil {
-		words := (len(cache.binIdx) + 63) / 64
-		srcBuf = make([]uint64, words)
-		dstBuf = make([]uint64, words)
-	}
 	for {
 		for i, j := range idx {
 			subset[i] = facilities[j]
 		}
-		var v float64
-		if srcBuf != nil {
-			v = cache.binarySubsetValue(subset, srcBuf, dstBuf)
-		} else {
-			v = cache.subsetValue(subset)
-		}
-		if v > best.Value {
+		if v, _ := cache.evaluate(subset); v > best.Value {
 			best.Value = v
 			best.Facilities = append(best.Facilities[:0:0], subset...)
 		}
@@ -409,7 +482,7 @@ func Exact(src CoverageSource, facilities []*trajectory.Facility, k int, p query
 			idx[j] = idx[j-1] + 1
 		}
 	}
-	best.UsersServed = cache.usersServed(best.Facilities)
+	_, best.UsersServed = cache.evaluate(best.Facilities)
 	return best, nil
 }
 
@@ -481,22 +554,7 @@ func Genetic(src CoverageSource, facilities []*trajectory.Facility, k int, p que
 		sort.Ints(perm)
 		return perm
 	}
-	var srcBuf, dstBuf []uint64
-	if cache.binIdx != nil {
-		words := (len(cache.binIdx) + 63) / 64
-		srcBuf = make([]uint64, words)
-		dstBuf = make([]uint64, words)
-	}
-	subsetBuf := make([]*trajectory.Facility, k)
-	evaluate := func(genes []int) float64 {
-		for i, g := range genes {
-			subsetBuf[i] = facilities[g]
-		}
-		if srcBuf != nil {
-			return cache.binarySubsetValue(subsetBuf, srcBuf, dstBuf)
-		}
-		return cache.subsetValue(subsetBuf)
-	}
+	evaluate := cache.genesEvaluator(facilities, k)
 
 	pop := make([]individual, opts.Population)
 	for i := range pop {
@@ -576,9 +634,6 @@ func Genetic(src CoverageSource, facilities []*trajectory.Facility, k int, p que
 	for i, g := range best.genes {
 		chosen[i] = facilities[g]
 	}
-	return Result{
-		Facilities:  chosen,
-		Value:       best.fitness,
-		UsersServed: cache.usersServed(chosen),
-	}, nil
+	_, served := cache.evaluate(chosen)
+	return Result{Facilities: chosen, Value: best.fitness, UsersServed: served}, nil
 }

@@ -3,6 +3,8 @@ package maxcov
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -54,8 +56,13 @@ func makeFacilities(n, stops int, seed int64) []*trajectory.Facility {
 
 func engineFor(t *testing.T, users *trajectory.Set, ordering tqtree.Ordering) *query.Engine {
 	t.Helper()
+	return engineForVariant(t, users, tqtree.TwoPoint, ordering)
+}
+
+func engineForVariant(t *testing.T, users *trajectory.Set, variant tqtree.Variant, ordering tqtree.Ordering) *query.Engine {
+	t.Helper()
 	tree, err := tqtree.Build(users.All, tqtree.Options{
-		Variant: tqtree.TwoPoint, Ordering: ordering, Beta: 8, Bounds: testBounds,
+		Variant: variant, Ordering: ordering, Beta: 8, Bounds: testBounds,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +71,12 @@ func engineFor(t *testing.T, users *trajectory.Set, ordering tqtree.Ordering) *q
 }
 
 var params = query.Params{Scenario: service.Binary, Psi: 50}
+
+// subsetValue is the value half of covCache.evaluate.
+func subsetValue(c *covCache, subset []*trajectory.Facility) float64 {
+	v, _ := c.evaluate(subset)
+	return v
+}
 
 func TestNonSubmodularWitness(t *testing.T) {
 	// Reproduce the paper's Lemma 1 construction: user u's source is
@@ -84,7 +97,7 @@ func TestNonSubmodularWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	val := func(fs ...*trajectory.Facility) float64 { return cache.subsetValue(fs) }
+	val := func(fs ...*trajectory.Facility) float64 { return subsetValue(cache, fs) }
 
 	gainA := val(fa, fx) - val(fa)         // A = {fa}
 	gainB := val(fa, fb, fx) - val(fa, fb) // B = {fa, fb} ⊇ A
@@ -96,66 +109,157 @@ func TestNonSubmodularWitness(t *testing.T) {
 	}
 }
 
-func TestGreedyMatchesHandRolledReference(t *testing.T) {
-	users := makeUsers(300, 1)
-	facilities := makeFacilities(20, 6, 2)
-	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
-
-	got, err := Greedy(src, facilities, 4, params)
-	if err != nil {
-		t.Fatal(err)
+// makeMultipointUsers builds users of 2..5 points each, a short random
+// walk from a uniform start.
+func makeMultipointUsers(n int, seed int64) *trajectory.Set {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*trajectory.Trajectory, n)
+	for i := range out {
+		pts := []geo.Point{geo.Pt(rng.Float64()*1000, rng.Float64()*1000)}
+		for j := 2 + rng.Intn(4); len(pts) < j; {
+			last := pts[len(pts)-1]
+			pts = append(pts, geo.Pt(clampF(last.X+rng.NormFloat64()*100, 0, 1000),
+				clampF(last.Y+rng.NormFloat64()*100, 0, 1000)))
+		}
+		out[i] = trajectory.MustNew(trajectory.ID(i), pts)
 	}
+	return trajectory.MustNewSet(out)
+}
 
-	// Hand-rolled reference greedy over brute-force coverage masks.
-	type facCov struct {
-		f   *trajectory.Facility
-		cov service.Coverage
-	}
-	covs := make([]facCov, len(facilities))
-	for i, f := range facilities {
-		c := service.Coverage{}
+// oracleGreedy is the reference greedy for the sweep: brute-force masks
+// from service.MaskOf, and each marginal gain recomputed as the value of
+// the whole union with and without the candidate. It shares nothing with
+// covCache. Candidates are scanned in ID order with a strict >, so ties
+// go to the lowest ID.
+func oracleGreedy(users *trajectory.Set, variant tqtree.Variant, p query.Params, facilities []*trajectory.Facility, k int) (ids []trajectory.ID, value float64, served int) {
+	masks := make(map[trajectory.ID][]service.Mask, len(facilities))
+	for _, f := range facilities {
 		for _, u := range users.All {
-			m := service.MaskOf(u, f.Stops, params.Psi)
-			if !m.Empty() {
-				c[u.ID] = m
-			}
+			masks[f.ID] = append(masks[f.ID], service.MaskOf(u, f.Stops, p.Psi))
 		}
-		covs[i] = facCov{f, c}
 	}
-	value := func(sel []facCov) float64 {
-		merged := service.Coverage{}
-		for _, fc := range sel {
-			merged.Merge(fc.cov)
-		}
+	eval := func(sel []trajectory.ID) (float64, int) {
 		var v float64
-		for id, m := range merged {
-			v += service.ValueFromMask(service.Binary, users.ByID(id), m)
-		}
-		return v
-	}
-	var sel []facCov
-	remaining := append([]facCov(nil), covs...)
-	for len(sel) < 4 {
-		bestI, bestV := -1, -1.0
-		base := value(sel)
-		for i, fc := range remaining {
-			v := value(append(sel, fc)) - base
-			if v > bestV {
-				bestV, bestI = v, i
+		n := 0
+		for i, u := range users.All {
+			m := service.NewMask(u.Len())
+			for _, id := range sel {
+				m.Or(masks[id][i])
+			}
+			if uv := query.ObjectiveFromMask(variant, p.Scenario, u, m); uv > 0 {
+				v += uv
+				n++
 			}
 		}
-		sel = append(sel, remaining[bestI])
+		return v, n
+	}
+	remaining := make([]trajectory.ID, len(facilities))
+	for i, f := range facilities {
+		remaining[i] = f.ID
+	}
+	sort.Slice(remaining, func(i, j int) bool { return remaining[i] < remaining[j] })
+	for len(ids) < k && len(remaining) > 0 {
+		base, _ := eval(ids)
+		bestI, bestGain := -1, -1.0
+		for i, id := range remaining {
+			v, _ := eval(append(ids[:len(ids):len(ids)], id))
+			if gain := v - base; gain > bestGain {
+				bestI, bestGain = i, gain
+			}
+		}
+		ids = append(ids, remaining[bestI])
 		remaining = append(remaining[:bestI], remaining[bestI+1:]...)
 	}
-	want := value(sel)
-	if math.Abs(got.Value-want) > 1e-9 {
-		t.Fatalf("greedy value %v, reference %v", got.Value, want)
+	value, served = eval(ids)
+	return ids, value, served
+}
+
+// TestGreedyMatchesHandRolledReference checks Greedy and TwoStepGreedy
+// against oracleGreedy over seeded instances: selection order, Value and
+// UsersServed must match exactly. The Binary/TwoPoint configuration runs
+// the bitset path; PointCount and the Segmented variant run the mask
+// path. Every configuration keeps its objective values dyadic (0/1
+// counts, or halves of 2-point users), so float sums are exact and ties
+// are true ties.
+func TestGreedyMatchesHandRolledReference(t *testing.T) {
+	const seeds = 40
+	configs := []struct {
+		name       string
+		variant    tqtree.Variant
+		sc         service.Scenario
+		multipoint bool
+		bitset     bool
+	}{
+		{"binary", tqtree.TwoPoint, service.Binary, true, true},
+		{"pointcount", tqtree.TwoPoint, service.PointCount, false, false},
+		{"segmented", tqtree.Segmented, service.Binary, true, false},
 	}
-	for i := range sel {
-		if got.Facilities[i].ID != sel[i].f.ID {
-			t.Errorf("selection order differs at %d: %d vs %d", i, got.Facilities[i].ID, sel[i].f.ID)
-		}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			p := query.Params{Scenario: cfg.sc, Psi: 50}
+			for seed := int64(0); seed < seeds; seed++ {
+				users := makeUsers(200, 1000+seed)
+				if cfg.multipoint {
+					users = makeMultipointUsers(200, 1000+seed)
+				}
+				facilities := makeFacilities(16, 5, 2000+seed)
+				basic := engineForVariant(t, users, cfg.variant, tqtree.Basic)
+				zorder := engineForVariant(t, users, cfg.variant, tqtree.ZOrder)
+				sources := []struct {
+					name string
+					src  CoverageSource
+				}{
+					{"basic", EngineSource{Engine: basic}},
+					{"zorder", EngineSource{Engine: zorder}},
+					{"baseline", BaselineSource{Baseline: query.NewBaseline(users, cfg.variant)}},
+				}
+				cache, err := newCovCache(sources[0].src, facilities, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (cache.bin != nil) != cfg.bitset {
+					t.Fatalf("seed %d: bitset path = %v, want %v", seed, cache.bin != nil, cfg.bitset)
+				}
+				check := func(what string, k int, got Result, ids []trajectory.ID, val float64, served int) {
+					t.Helper()
+					gotIDs := make([]trajectory.ID, len(got.Facilities))
+					for i, f := range got.Facilities {
+						gotIDs[i] = f.ID
+					}
+					if !slices.Equal(gotIDs, ids) || got.Value != val || got.UsersServed != served {
+						t.Fatalf("seed %d %s k=%d: got order %v value %v served %d, oracle %v %v %d",
+							seed, what, k, gotIDs, got.Value, got.UsersServed, ids, val, served)
+					}
+				}
+				for k := 1; k <= 6; k++ {
+					ids, val, served := oracleGreedy(users, cfg.variant, p, facilities, k)
+					for _, s := range sources {
+						got, err := Greedy(s.src, facilities, k, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check("Greedy/"+s.name, k, got, ids, val, served)
+					}
+					for _, eng := range []*query.Engine{basic, zorder} {
+						kPrime := DefaultCandidateSize(k, len(facilities))
+						top, _, err := eng.TopK(facilities, kPrime, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						candidates := make([]*trajectory.Facility, len(top))
+						for i, r := range top {
+							candidates[i] = r.Facility
+						}
+						ids, val, served := oracleGreedy(users, cfg.variant, p, candidates, k)
+						got, err := TwoStepGreedy(eng, facilities, k, 0, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check("TwoStepGreedy/"+eng.Tree().Ordering().String(), k, got, ids, val, served)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -231,7 +335,7 @@ func TestExactMatchesBruteForceTinyInstance(t *testing.T) {
 	n := len(facilities)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			v := cache.subsetValue([]*trajectory.Facility{facilities[a], facilities[b]})
+			v := subsetValue(cache, []*trajectory.Facility{facilities[a], facilities[b]})
 			if v > bestVal {
 				bestVal = v
 			}
@@ -321,7 +425,7 @@ func TestGeneticBeatsRandomAndIsDeterministic(t *testing.T) {
 		for j, g := range perm {
 			subset[j] = facilities[g]
 		}
-		avg += cache.subsetValue(subset)
+		avg += subsetValue(cache, subset)
 	}
 	avg /= trials
 	if gen1.Value < avg {
@@ -342,7 +446,7 @@ func TestGreedyResultValueMatchesSubsetValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := cache.subsetValue(res.Facilities); math.Abs(v-res.Value) > 1e-9 {
+	if v := subsetValue(cache, res.Facilities); math.Abs(v-res.Value) > 1e-9 {
 		t.Fatalf("incremental value %v != recomputed %v", res.Value, v)
 	}
 }
@@ -393,21 +497,21 @@ func TestEdgeCases(t *testing.T) {
 	}
 }
 
+// TestBinaryFastPathMatchesGeneralPath checks the bitset evaluator
+// against unions of brute-force service.MaskOf masks on random subsets.
+// Multipoint users exercise coverage of middle points only, which sets
+// neither bit.
 func TestBinaryFastPathMatchesGeneralPath(t *testing.T) {
-	users := makeUsers(300, 50)
+	users := makeMultipointUsers(300, 50)
 	facilities := makeFacilities(12, 5, 51)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
-	cache, err := newCovCache(src, facilities, params)
+	cache, err := newCovCache(EngineSource{Engine: eng}, facilities, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.binIdx == nil {
-		t.Fatal("binary fast path not built for Binary scenario")
+	if cache.bin == nil || cache.covs != nil {
+		t.Fatal("Binary scenario did not select the bitset-only representation")
 	}
-	words := (len(cache.binIdx) + 63) / 64
-	srcBuf := make([]uint64, words)
-	dstBuf := make([]uint64, words)
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(4)
@@ -416,10 +520,21 @@ func TestBinaryFastPathMatchesGeneralPath(t *testing.T) {
 		for i, g := range perm {
 			subset[i] = facilities[g]
 		}
-		fast := cache.binarySubsetValue(subset, srcBuf, dstBuf)
-		slow := cache.subsetValue(subset)
-		if math.Abs(fast-slow) > 1e-9 {
-			t.Fatalf("fast path %v != general path %v for subset %v", fast, slow, perm)
+		var want float64
+		wantServed := 0
+		for _, u := range users.All {
+			m := service.NewMask(u.Len())
+			for _, f := range subset {
+				m.Or(service.MaskOf(u, f.Stops, params.Psi))
+			}
+			if v := service.ValueFromMask(service.Binary, u, m); v > 0 {
+				want += v
+				wantServed++
+			}
+		}
+		got, served := cache.evaluate(subset)
+		if got != want || served != wantServed {
+			t.Fatalf("subset %v: bitsets (%v, %d), mask unions (%v, %d)", perm, got, served, want, wantServed)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package trajcover
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -146,6 +148,61 @@ func TestPublicAPIMaxCoverageAlgorithms(t *testing.T) {
 	}
 	if _, err := idx.MaxCoverage(routes, 2, q, CoverageOptions{Algorithm: CoverageAlgorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestMaxCoverageRejectsDuplicateFacilityIDs: coverage is keyed by
+// facility ID, so two facilities sharing one would silently share one
+// coverage. On this instance (route 5 given route 0's ID) the greedy
+// used to return {1, 0} with Value 5 while the pair's true value is 4.
+// Every solver, on the index and the baseline, must reject the input and
+// name the ID.
+func TestMaxCoverageRejectsDuplicateFacilityIDs(t *testing.T) {
+	city := NewYorkCity()
+	users := TaxiTrips(city, 3000, 7)
+	routes := BusRoutes(city, 6, 16, 9)
+	idx, err := NewIndex(users, IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl, err := NewBaseline(users, TwoPoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Scenario: Binary, Psi: DefaultPsi}
+	algs := []CoverageAlgorithm{TwoStepGreedy, FullGreedy, Genetic, Exact, Annealing}
+
+	// With distinct IDs the greedy's Value is the true value of its pick.
+	fixed, err := NewFacility(99, routes[5].Stops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := append(append([]*Facility(nil), routes[:5]...), fixed)
+	g, err := idx.MaxCoverage(distinct, 2, q, CoverageOptions{Algorithm: FullGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := idx.MaxCoverage(g.Facilities, 2, q, CoverageOptions{Algorithm: Exact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Value != e.Value {
+		t.Fatalf("greedy Value %v, but its pair scores %v", g.Value, e.Value)
+	}
+
+	dup, err := NewFacility(routes[0].ID, routes[5].Stops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dupped := append(append([]*Facility(nil), routes[:5]...), dup)
+	want := fmt.Sprintf("duplicate facility id %d", routes[0].ID)
+	for _, alg := range algs {
+		if _, err := idx.MaxCoverage(dupped, 2, q, CoverageOptions{Algorithm: alg}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Index %v: err = %v, want %q", alg, err, want)
+		}
+		if _, err := bl.MaxCoverage(dupped, 2, q, CoverageOptions{Algorithm: alg}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Baseline %v: err = %v, want %q", alg, err, want)
+		}
 	}
 }
 
